@@ -6,12 +6,12 @@ complexity class (§5.3).  This benchmark scales the number of processes
 over random workloads and reports operations, iterations, and wall time;
 iterations must grow linearly with total mobility, not explode.
 
-Each size is run three times — brute-force scalar re-evaluation
-(``force_cache=False``), the incremental force cache on the scalar
-force path (``use_kernels=False``, PR 2's configuration), and cache
-plus the batched array kernels (the default) — so the speedup of each
-optimization layer is measured separately (see docs/performance.md).
-Decisions are identical in every arm; only the wall time and the
+Each size is run twice — the brute-force reference
+(:class:`repro.core.reference.ReferenceScheduler`, which re-evaluates
+every candidate on every iteration) and the selection engine of
+:class:`ModuloSystemScheduler` — so the engine's speedup over brute
+force is measured on the same run (see docs/performance.md).  Decisions
+are identical in both arms; only the wall time and the
 ``force_evaluations`` counter differ.
 
 Runnable standalone for CI smoke checks::
@@ -29,6 +29,7 @@ from conftest import save_artifact
 from repro.obs import Tracer
 
 from repro.core.periods import PeriodAssignment
+from repro.core.reference import ReferenceScheduler
 from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.process import Block, Process, SystemSpec
 from repro.resources.assignment import ResourceAssignment
@@ -52,14 +53,17 @@ def build_system(n_processes, library):
     return system
 
 
-def run_one(n_processes, library, *, force_cache, use_kernels=True):
-    """Schedule one system size; returns a flat metrics dict."""
+def build_problem(n_processes, library):
     system = build_system(n_processes, library)
     assignment = ResourceAssignment.all_global(library, system)
     periods = PeriodAssignment({name: PERIOD for name in assignment.global_types})
-    scheduler = ModuloSystemScheduler(
-        library, force_cache=force_cache, use_kernels=use_kernels, tracer=Tracer()
-    )
+    return system, assignment, periods
+
+
+def run_engine(system, assignment, periods, library):
+    """One engine run; returns a flat metrics dict plus its decisions."""
+    tracer = Tracer()
+    scheduler = ModuloSystemScheduler(library, tracer=tracer)
     started = time.perf_counter()
     result = scheduler.schedule(system, assignment, periods)
     elapsed = time.perf_counter() - started
@@ -67,9 +71,11 @@ def run_one(n_processes, library, *, force_cache, use_kernels=True):
     hits = counters.get("force_cache_hits", 0)
     misses = counters.get("force_cache_misses", 0)
     probes = hits + misses
+    decisions = [
+        (e.attrs["process"], e.attrs["block"], e.attrs["op"], e.attrs["side"])
+        for e in tracer.events_named("reduction")
+    ]
     return {
-        "processes": n_processes,
-        "operations": system.operation_count,
         "iterations": result.iterations,
         "wall_time": elapsed,
         "area": result.total_area(),
@@ -78,66 +84,62 @@ def run_one(n_processes, library, *, force_cache, use_kernels=True):
         "cache_misses": misses,
         "cache_hit_rate": (hits / probes) if probes else 0.0,
         "counters": counters,
+    }, decisions
+
+
+def run_reference(system, assignment, periods, library):
+    """One reference run, its force evaluations counted by an
+    activated tracer; returns a flat metrics dict plus its decisions."""
+    tracer = Tracer()
+    started = time.perf_counter()
+    with tracer.activate():
+        run = ReferenceScheduler(library).schedule(system, assignment, periods)
+    elapsed = time.perf_counter() - started
+    return {
+        "iterations": run.schedule.iterations,
+        "wall_time": elapsed,
+        "area": run.schedule.total_area(),
+        "force_evaluations": tracer.counters.as_dict().get("force_evaluations", 0),
+    }, run.decisions
+
+
+def run_ab(system, assignment, periods, library):
+    """Reference and engine arms of one problem, plus their parity."""
+    reference, reference_decisions = run_reference(
+        system, assignment, periods, library
+    )
+    engine, engine_decisions = run_engine(system, assignment, periods, library)
+    return {
+        "reference": reference,
+        "engine": engine,
+        "decisions_identical": engine_decisions == reference_decisions,
+        "speedup": (
+            reference["wall_time"] / engine["wall_time"]
+            if engine["wall_time"]
+            else float("inf")
+        ),
     }
 
 
-def run_scaling(process_counts=PROCESS_COUNTS, *, force_cache_ab=True,
-                kernels_ab=True):
-    """A/B rows per size: brute force, cache-only, cache+kernels.
-
-    Three arms separate the two optimization layers in the perf
-    trajectory: ``uncached`` (brute-force scalar scan), ``cached_scalar``
-    (incremental cache, scalar force path — PR 2's configuration), and
-    ``cached`` (cache plus the batched array kernels, the default).
-    ``force_cache_ab=False`` runs only the uncached arm (the
-    ``--no-force-cache`` CLI flag); ``kernels_ab=False`` skips the
-    cache+kernels arm (the ``--no-kernels`` CLI flag), leaving the
-    cached arm on the scalar path.
-    """
+def run_scaling(process_counts=PROCESS_COUNTS):
+    """One reference-vs-engine row per system size."""
     library = default_library()
     rows = []
     for n_processes in process_counts:
-        uncached = run_one(
-            n_processes, library, force_cache=False, use_kernels=False
-        )
-        cached_scalar = (
-            run_one(n_processes, library, force_cache=True, use_kernels=False)
-            if force_cache_ab
-            else None
-        )
-        cached = (
-            run_one(n_processes, library, force_cache=True, use_kernels=True)
-            if force_cache_ab and kernels_ab
-            else None
-        )
+        system, assignment, periods = build_problem(n_processes, library)
         row = {
             "processes": n_processes,
-            "operations": uncached["operations"],
-            "iterations": uncached["iterations"],
-            "area": uncached["area"],
-            "uncached": uncached,
+            "operations": system.operation_count,
+            **run_ab(system, assignment, periods, library),
         }
-        if cached_scalar is not None:
-            # The best available cached arm keeps the historical "cached"
-            # key so downstream gates keep reading the same schema.
-            row["cached_scalar"] = cached_scalar
-            row["cached"] = cached if cached is not None else cached_scalar
-            row["speedup"] = (
-                uncached["wall_time"] / row["cached"]["wall_time"]
-                if row["cached"]["wall_time"]
-                else float("inf")
-            )
-            row["eval_reduction"] = (
-                uncached["force_evaluations"] / row["cached"]["force_evaluations"]
-                if row["cached"]["force_evaluations"]
-                else float("inf")
-            )
-            if cached is not None:
-                row["kernel_speedup"] = (
-                    cached_scalar["wall_time"] / cached["wall_time"]
-                    if cached["wall_time"]
-                    else float("inf")
-                )
+        row["iterations"] = row["engine"]["iterations"]
+        row["area"] = row["engine"]["area"]
+        row["eval_reduction"] = (
+            row["reference"]["force_evaluations"]
+            / row["engine"]["force_evaluations"]
+            if row["engine"]["force_evaluations"]
+            else float("inf")
+        )
         rows.append(row)
     return rows
 
@@ -149,35 +151,20 @@ def format_report(rows):
         f"P = {PERIOD})",
         "",
         f"{'procs':>5} {'ops':>5} {'iterations':>11} {'area':>6} "
-        f"{'cached_s':>9} {'brute_s':>8} {'speedup':>8} {'kern':>6} "
+        f"{'engine_s':>9} {'ref_s':>8} {'speedup':>8} "
         f"{'evals':>7} {'hit%':>6}",
     ]
     for row in rows:
-        cached = row.get("cached")
-        if cached is None:
-            lines.append(
-                f"{row['processes']:>5} {row['operations']:>5} "
-                f"{row['iterations']:>11} {row['area']:>6g} "
-                f"{'-':>9} {row['uncached']['wall_time']:>8.2f} {'-':>8} "
-                f"{'-':>6} "
-                f"{row['uncached']['force_evaluations']:>7} {'-':>6}"
-            )
-        else:
-            kernel_speedup = row.get("kernel_speedup")
-            kernel_cell = (
-                f"{kernel_speedup:>5.1f}x" if kernel_speedup is not None
-                else f"{'-':>6}"
-            )
-            lines.append(
-                f"{row['processes']:>5} {row['operations']:>5} "
-                f"{row['iterations']:>11} {row['area']:>6g} "
-                f"{cached['wall_time']:>9.2f} "
-                f"{row['uncached']['wall_time']:>8.2f} "
-                f"{row['speedup']:>7.1f}x "
-                f"{kernel_cell} "
-                f"{cached['force_evaluations']:>7} "
-                f"{100 * cached['cache_hit_rate']:>5.1f}%"
-            )
+        engine = row["engine"]
+        lines.append(
+            f"{row['processes']:>5} {row['operations']:>5} "
+            f"{row['iterations']:>11} {row['area']:>6g} "
+            f"{engine['wall_time']:>9.2f} "
+            f"{row['reference']['wall_time']:>8.2f} "
+            f"{row['speedup']:>7.1f}x "
+            f"{engine['force_evaluations']:>7} "
+            f"{100 * engine['cache_hit_rate']:>5.1f}%"
+        )
     lines.append("")
     lines.append("paper reference point: 124 ops, 71 iterations, 7 s (Pentium 133)")
     return "\n".join(lines)
@@ -189,12 +176,10 @@ def test_scaling(benchmark):
     # Iterations are bounded by total mobility: at most ops * (slack + 1).
     for row in rows:
         assert row["iterations"] <= row["operations"] * (SLACK + 2)
-        # Decision parity: neither the cache nor the kernels may change
-        # the schedule.
-        assert row["cached"]["iterations"] == row["uncached"]["iterations"]
-        assert row["cached"]["area"] == row["uncached"]["area"]
-        assert row["cached_scalar"]["iterations"] == row["uncached"]["iterations"]
-        assert row["cached_scalar"]["area"] == row["uncached"]["area"]
+        # Decision parity: the engine makes the reference's decisions.
+        assert row["decisions_identical"]
+        assert row["engine"]["iterations"] == row["reference"]["iterations"]
+        assert row["engine"]["area"] == row["reference"]["area"]
 
     save_artifact("scaling", format_report(rows), data=rows)
 
@@ -209,29 +194,13 @@ def main(argv=None):
         help="system sizes (number of processes) to run",
     )
     parser.add_argument(
-        "--no-force-cache",
-        action="store_true",
-        help="run only the brute-force arm (skip the cached A/B runs)",
-    )
-    parser.add_argument(
-        "--no-kernels",
-        action="store_true",
-        help="skip the cache+kernels arm: the cached run uses the scalar "
-        "force path (PR 2's configuration), separating the caching and "
-        "kernel contributions in the perf trajectory",
-    )
-    parser.add_argument(
         "--out",
         type=pathlib.Path,
         default=None,
         help="write the machine-readable report to this JSON file",
     )
     args = parser.parse_args(argv)
-    rows = run_scaling(
-        tuple(args.processes),
-        force_cache_ab=not args.no_force_cache,
-        kernels_ab=not args.no_kernels,
-    )
+    rows = run_scaling(tuple(args.processes))
     print(format_report(rows))
     if args.out is not None:
         args.out.write_text(

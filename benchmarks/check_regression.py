@@ -9,13 +9,17 @@ tolerance (default 25%) on either axis:
   scheduler deterministic, so these reproduce bit-for-bit across
   machines; growth means the algorithm started doing more work.
 * **wall time** — compared only through dimensionless same-run ratios
-  (cached/uncached for the scaling bench, pruned/unpruned for the
-  sweep bench, vector/scalar and kernel/scalar for the kernels bench),
-  so a slower or faster CI machine cannot trip or mask the gate; only
-  a change in the *relative* benefit of the optimization can.
+  (engine/reference for the scaling, kernels and scale benches,
+  pruned/unpruned for the sweep bench, vector/scalar for the kernel
+  micro rows, and the µs-per-iteration growth between corpus sizes for
+  the scale bench), so a slower or faster CI machine cannot trip or
+  mask the gate; only a change in the *relative* benefit of the
+  optimization can.
 
 Solution quality (area, best periods) is deterministic and must not
-regress at all.
+regress at all.  Where a bench runs the selection engine next to the
+brute-force reference, arm parity (identical decisions, iterations and
+area) is a hard failure.
 
 Usage::
 
@@ -106,6 +110,46 @@ def _wall_ratio(gate, name, numer_arm, denom_arm, base_numer, base_denom):
     gate.check_ratio(name, numer_arm / denom_arm, base_numer / base_denom)
 
 
+def _arm_parity(gate, label, row):
+    """Engine and reference arms of one row: a hard invariant."""
+    engine, reference = row["engine"], row["reference"]
+    if (
+        not row["decisions_identical"]
+        or engine["iterations"] != reference["iterations"]
+        or engine["area"] != reference["area"]
+    ):
+        gate.failures.append(
+            f"{label} engine/reference arm parity violated: "
+            f"decisions identical {row['decisions_identical']}, "
+            f"{engine['iterations']}/{engine['area']} vs "
+            f"{reference['iterations']}/{reference['area']}"
+        )
+        return False
+    gate.lines.append(f"  ok   {label} engine/reference arm parity")
+    return True
+
+
+def _engine_vs_reference(gate, label, row, base):
+    """Counts of both arms and their same-run wall-time ratio."""
+    for arm in ("engine", "reference"):
+        gate.check_quality(f"{label} {arm} area", row[arm]["area"], base[arm]["area"])
+        gate.check_count(
+            f"{label} {arm} iterations",
+            row[arm]["iterations"], base[arm]["iterations"],
+        )
+        gate.check_count(
+            f"{label} {arm} force_evaluations",
+            row[arm]["force_evaluations"],
+            base[arm]["force_evaluations"],
+        )
+    _wall_ratio(
+        gate,
+        f"{label} engine/reference wall-time ratio",
+        row["engine"]["wall_time"], row["reference"]["wall_time"],
+        base["engine"]["wall_time"], base["reference"]["wall_time"],
+    )
+
+
 def check_scaling(gate, current, baseline):
     """Rows matched on process count; unmatched rows are reported."""
     base_rows = {row["processes"]: row for row in baseline}
@@ -116,74 +160,66 @@ def check_scaling(gate, current, baseline):
             gate.skip(f"no baseline row for processes={row['processes']}")
             continue
         matched += 1
-        n = row["processes"]
-        gate.check_quality(f"[{n}p] area", row["area"], base["area"])
-        for arm in ("cached", "uncached"):
-            gate.check_count(
-                f"[{n}p] {arm} force_evaluations",
-                row[arm]["force_evaluations"],
-                base[arm]["force_evaluations"],
-            )
-        gate.check_count(
-            f"[{n}p] iterations", row["iterations"], base["iterations"]
-        )
-        _wall_ratio(
-            gate,
-            f"[{n}p] cached/uncached wall-time ratio",
-            row["cached"]["wall_time"], row["uncached"]["wall_time"],
-            base["cached"]["wall_time"], base["uncached"]["wall_time"],
-        )
+        label = f"[{row['processes']}p]"
+        if _arm_parity(gate, label, row):
+            _engine_vs_reference(gate, label, row, base)
     if matched == 0:
         gate.failures.append("no scaling rows matched the baseline")
 
 
 def check_scale(gate, current, baseline):
-    """Scoreboard A/B rows on the scenario corpus (bench_scale.py)."""
+    """Selection-engine rows on the scenario corpus (bench_scale.py)."""
     base_rows = {row["processes"]: row for row in baseline}
-    matched = 0
+    matched = []
     for row in current:
         base = base_rows.get(row["processes"])
         if base is None:
             gate.skip(f"no baseline row for processes={row['processes']}")
             continue
-        matched += 1
-        n = row["processes"]
-        on = row["scoreboard_on"]
-        off = row["scoreboard_off"]
-        # Decision parity between the arms is a hard invariant, not a
-        # tolerance check: the scoreboard must replay the scan exactly.
-        if (on["iterations"], on["area"]) != (off["iterations"], off["area"]):
-            gate.failures.append(
-                f"[{n}p] scoreboard arm parity violated: "
-                f"{on['iterations']}/{on['area']} vs "
-                f"{off['iterations']}/{off['area']}"
-            )
-            continue
-        gate.check_quality(f"[{n}p] area", row["area"], base["area"])
-        gate.check_count(
-            f"[{n}p] iterations", row["iterations"], base["iterations"]
-        )
-        for arm in ("scoreboard_on", "scoreboard_off"):
+        label = f"[{row['processes']}p]"
+        if "reference" in base:
+            if "reference" not in row:
+                gate.failures.append(f"{label} reference arm missing")
+                continue
+            if not _arm_parity(gate, label, row):
+                continue
+            _engine_vs_reference(gate, label, row, base)
+        else:
+            engine, base_engine = row["engine"], base["engine"]
+            gate.check_quality(f"{label} area", engine["area"], base_engine["area"])
             gate.check_count(
-                f"[{n}p] {arm} force_evaluations",
-                row[arm]["force_evaluations"],
-                base[arm]["force_evaluations"],
+                f"{label} iterations",
+                engine["iterations"], base_engine["iterations"],
+            )
+            gate.check_count(
+                f"{label} engine force_evaluations",
+                engine["force_evaluations"], base_engine["force_evaluations"],
             )
         # Deterministic scoreboard work split: more rescoring means the
         # dirty cone grew (an incremental-selection regression).
         gate.check_count(
-            f"[{n}p] selection_rescored",
-            on["selection_rescored"],
-            base["scoreboard_on"]["selection_rescored"],
+            f"{label} selection_rescored",
+            row["engine"]["selection_rescored"],
+            base["engine"]["selection_rescored"],
         )
-        _wall_ratio(
-            gate,
-            f"[{n}p] scoreboard/scan wall-time ratio",
-            on["wall_time"], off["wall_time"],
-            base["scoreboard_on"]["wall_time"],
-            base["scoreboard_off"]["wall_time"],
+        matched.append((row, base))
+    # Per-iteration cost growth between consecutive sizes of one run.
+    for (small, base_small), (large, base_large) in zip(matched, matched[1:]):
+        name = (
+            f"[{small['processes']}p->{large['processes']}p] "
+            f"us/iteration growth"
         )
-    if matched == 0:
+        if min(small["engine"]["wall_time"], base_small["engine"]["wall_time"]) < (
+            NOISE_FLOOR_SECONDS
+        ):
+            gate.skip(f"{name}: runtimes below {NOISE_FLOOR_SECONDS}s noise floor")
+            continue
+        gate.check_ratio(
+            name,
+            large["us_per_iteration"] / small["us_per_iteration"],
+            base_large["us_per_iteration"] / base_small["us_per_iteration"],
+        )
+    if not matched:
         gate.failures.append("no scale rows matched the baseline")
 
 
@@ -337,7 +373,8 @@ def check_absint(gate, current, baseline):
 
 
 def check_kernels(gate, current, baseline):
-    """Per-kernel and end-to-end kernel A/B rows (bench_kernels.py)."""
+    """Per-kernel micro rows and engine/reference end-to-end rows
+    (bench_kernels.py)."""
     base_kernels = {
         (row["name"], row["processes"]): row for row in baseline["kernels"]
     }
@@ -370,26 +407,9 @@ def check_kernels(gate, current, baseline):
                       f"processes={row['processes']}")
             continue
         matched += 1
-        n = row["processes"]
-        for arm in ("kernel", "scalar"):
-            gate.check_quality(
-                f"[{n}p] {arm} area", row[arm]["area"], base[arm]["area"]
-            )
-            gate.check_count(
-                f"[{n}p] {arm} iterations",
-                row[arm]["iterations"], base[arm]["iterations"],
-            )
-            gate.check_count(
-                f"[{n}p] {arm} force_evaluations",
-                row[arm]["force_evaluations"],
-                base[arm]["force_evaluations"],
-            )
-        _wall_ratio(
-            gate,
-            f"[{n}p] kernel/scalar wall-time ratio",
-            row["kernel"]["wall_time"], row["scalar"]["wall_time"],
-            base["kernel"]["wall_time"], base["scalar"]["wall_time"],
-        )
+        label = f"[{row['processes']}p]"
+        if _arm_parity(gate, label, row):
+            _engine_vs_reference(gate, label, row, base)
     if matched == 0:
         gate.failures.append("no kernel rows matched the baseline")
 

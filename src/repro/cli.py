@@ -174,13 +174,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="scheduler wall-clock budget; exceeding it degrades to the "
         "list-scheduling fallback",
     )
-    schedule.add_argument(
-        "--no-scoreboard",
-        action="store_true",
-        help="select reductions with the full candidate rescan instead "
-        "of the incremental dirty-cone scoreboard (decisions are "
-        "identical; see docs/performance.md)",
-    )
 
     compare = sub.add_parser(
         "compare",
@@ -263,13 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="stream one progress line per candidate (evaluated or "
         "pruned) to stderr as the engine's events arrive",
-    )
-    sweep.add_argument(
-        "--no-scoreboard",
-        action="store_true",
-        help="evaluate candidates with the full candidate rescan "
-        "instead of the incremental dirty-cone scoreboard (decisions "
-        "are identical; see docs/performance.md)",
     )
 
     check = sub.add_parser(
@@ -762,8 +748,6 @@ def _remote_schedule(args: argparse.Namespace) -> int:
     options: Dict[str, object] = {}
     if args.local:
         options["local"] = True
-    if args.no_scoreboard:
-        options["use_scoreboard"] = False
     if args.max_iterations is not None:
         options["max_iterations"] = args.max_iterations
     outcome = _remote_outcome(args, "schedule", options)
@@ -804,8 +788,6 @@ def _remote_sweep(args: argparse.Namespace) -> int:
     options: Dict[str, object] = {"limit": args.limit}
     if args.no_prune:
         options["prune"] = False
-    if args.no_scoreboard:
-        options["use_scoreboard"] = False
     outcome = _remote_outcome(args, "sweep", options)
     payload = outcome.payload
     print(
@@ -1162,8 +1144,6 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     kwargs = {} if budget is None else {"budget": budget}
     if audit is not None:
         kwargs["audit"] = audit
-    if args.no_scoreboard:
-        kwargs["use_scoreboard"] = False
     if args.local:
         result = problem.schedule_local_baseline(tracer=tracer, **kwargs)
     else:
@@ -1324,7 +1304,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         timeout=args.job_timeout,
         tracer=tracer,
         checkpoint=args.resume,
-        use_scoreboard=not args.no_scoreboard,
     )
     outcome = engine.sweep(
         candidates, on_result=show if args.verbose else None

@@ -29,17 +29,21 @@ scalar path's delta for the same candidate.  The force *dots* are
 batched matrix products, and BLAS matrix–vector products are not
 bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
 differences, empirically ~1e-16).  Decisions in every scheduler compare
-forces against ``1e-12`` epsilons, so kernel-vs-scalar agreement is
-pinned at the *decision* level by ``tests/core/test_kernel_parity.py``;
-within one mode results are deterministic because all matrix shapes are
-functions of the scheduling state alone.
+forces against ``1e-12`` epsilons, so agreement with the scalar path is
+pinned at the *decision* level (``tests/core/test_kernel_parity.py``
+for the coupled scheduler, ``tests/scheduling/test_kernels.py`` for
+:class:`PlacementKernel`); results are deterministic because all matrix
+shapes are functions of the scheduling state alone.
 
-Operations whose force footprint (own resource type plus the types of
-direct predecessors/successors) contains a *guarded* type fall back to
-the scalar reference path: guarded displacement goes through branch-max
-recombination, which is not an additive update.  The fallback is decided
-statically per operation, so both kernel and scalar modes agree on which
-machinery evaluates which operation.
+Guarded types (types with conditional operations) displace through
+branch-max recombination, which is not an additive update.  The narrow
+:class:`DeltaBatch` path — the one the coupled scheduler uses for every
+operation — replays that recombination per candidate exactly as
+:meth:`BlockState.placement_deltas` does.  The wide path does not, so
+:class:`PlacementKernel` sends operations whose force footprint (own
+resource type plus the types of direct predecessors/successors) contains
+a guarded type to the scalar :func:`~repro.scheduling.forces
+.placement_force` instead.
 """
 
 from __future__ import annotations
@@ -193,8 +197,9 @@ class DeltaBatch:
             the type are never consumed (the narrow path leaves them
             uninitialized, the wide path zero).
 
-    Candidates must not have a guarded force footprint — callers route
-    those through the scalar reference path.
+    Only the narrow path handles candidates with a guarded force
+    footprint; wide batches must not contain them (see
+    :func:`guarded_footprint_ops`).
     """
 
     __slots__ = ("candidates", "type_orders", "deltas")
@@ -450,14 +455,13 @@ class DeltaBatch:
 
 
 def guarded_footprint_ops(state: BlockState) -> frozenset:
-    """Operations whose force evaluation must use the scalar path.
+    """Operations whose wide-batch force evaluation must use the scalar path.
 
     An operation's footprint is its own resource type plus the types of
     its direct predecessors and successors; if any of those types has
     guarded operations, tentative displacement needs the branch-max
-    recombination and the additive kernels do not apply.  The set is a
-    static property of the block, so kernel and scalar modes partition
-    the operations identically.
+    recombination, which the additive wide path does not apply.  The set
+    is a static property of the block.
     """
     dist = state.dist
     graph = state.graph

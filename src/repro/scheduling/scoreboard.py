@@ -3,19 +3,17 @@
 Every iteration of the coupled scheduler picks the reduction with the
 largest weighted force difference by folding a score over *all* mobile
 candidates of *all* blocks (``score > best + 1e-12`` in scan order).
-PR 2 made each force evaluation cached and PR 7 vectorized the scan —
-but the scan itself still touched every entry every iteration.
+Most of those scores did not move since the previous iteration: a
+commit only perturbs its own block, that block's same-process siblings
+when the coupling scope was not ``clean``, and every entry subscribed to
+a globally balanced type whose system distribution ``S`` bumped.
 
-A :class:`SelectionScoreboard` removes that last full pass.  It keeps,
-per entry (block), a persistent :class:`EntryRecord` holding the
-entry's *strict-prefix-maxima subsequence* — the only candidates the
-hysteresis fold can ever accept — plus the bookkeeping needed to decide
-whether the record is still exact.  A selection scan then only rescores
-the entries inside the commit's dirty cone (the committed block, its
-same-process siblings when the coupling scope was not ``clean``, and
-every entry subscribed to a globally balanced type whose system
-distribution ``S`` bumped); clean entries contribute their cached
-incumbents untouched.
+A :class:`SelectionScoreboard` keeps, per entry (block), a persistent
+:class:`EntryRecord`: the bookkeeping that says whether the entry's
+stored scores are still exact (its candidate count, the cache hits a
+skipped scan would have charged, and its type subscriptions).
+:meth:`SelectionScoreboard.rescore_set` names the entries a scan must
+rescore; every other entry keeps its stored scores.
 
 Exactness
 ---------
@@ -34,7 +32,7 @@ An entry-local strict prefix maximum set is a superset of the global
 strict prefix maxima restricted to that entry (a global maximum exceeds
 *all* earlier candidates, including its own entry's).  Replaying the
 fold over the concatenated per-entry subsequences in entry order is
-therefore bit-identical to the full scan — same winner, same score,
+therefore bit-identical to the scan-order fold — same winner, same score,
 same tie-break.
 
 The cross-entry replay never visits most entries at all.  The fold's
@@ -46,10 +44,10 @@ entry-maxima array's strict prefix maxima, found with one vectorized
 those few survivors replay their records; each still skips in O(1)
 when its maximum cannot beat ``best + 1e-12``.
 
-Which counters a skipped entry *would* have produced is aggregated the
-same way (``sum_skip_hits``/``sum_candidates``), so telemetry stays
-bit-identical to the full scan; ``selection_rescored`` /
-``selection_skipped`` count the scoreboard's own work split per scan.
+The cache hits a skipped entry *would* have probed are aggregated in
+``sum_skip_hits``, so ``force_cache_hits`` counts every candidate of
+every scan; ``selection_rescored`` / ``selection_skipped`` count the
+scoreboard's own work split per scan.
 """
 
 from __future__ import annotations
@@ -58,29 +56,10 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-__all__ = ["EntryRecord", "SelectionScoreboard", "prefix_maxima_positions"]
+__all__ = ["EntryRecord", "SelectionScoreboard"]
 
 #: The decision epsilon of the selection fold (must match the scheduler).
 EPSILON = 1e-12
-
-
-def prefix_maxima_positions(scores: List[float]) -> List[int]:
-    """Positions of the strict prefix maxima of ``scores`` (scalar path).
-
-    Position 0 always participates (the fold unconditionally accepts the
-    first candidate); every later position participates iff its score
-    strictly exceeds all earlier ones.
-    """
-    if not scores:
-        return []
-    positions = [0]
-    running = scores[0]
-    for pos in range(1, len(scores)):
-        score = scores[pos]
-        if score > running:
-            positions.append(pos)
-            running = score
-    return positions
 
 
 class EntryRecord:
@@ -153,9 +132,9 @@ class SelectionScoreboard:
         pm_kinds: Optional[List[str]] = None,
     ) -> None:
         """Refresh entry ``index``'s counters, subscriptions, and — when
-        the caller replays folds from records (the scalar path) — its
-        prefix-maxima subsequence.  The kernel path keeps scored state
-        per slot instead and stores only the bookkeeping half."""
+        the caller replays folds from records with :meth:`fold` — its
+        prefix-maxima subsequence.  The coupled scheduler keeps scored
+        state per slot instead and stores only the bookkeeping half."""
         record = self.records[index]
         self.sum_candidates += n_candidates - record.n_candidates
         self.sum_skip_hits += skip_hits - record.skip_hits
@@ -226,7 +205,7 @@ class SelectionScoreboard:
         if state is None:
             # No candidate anywhere before this entry: its first
             # candidate (always a prefix maximum) seeds the fold
-            # unconditionally, exactly like the full scan.
+            # unconditionally, exactly like the scan-order fold.
             best = scores[0]
             pos = 0
             start = 1

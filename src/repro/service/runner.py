@@ -53,19 +53,16 @@ PAYLOAD_FORMAT = "repro-result/1"
 KNOWN_OPTIONS: Dict[str, Dict[str, type]] = {
     "schedule": {
         "local": bool,
-        "use_scoreboard": bool,
         "max_iterations": int,
     },
     "sweep": {
         "prune": bool,
-        "use_scoreboard": bool,
         "harmonic": bool,
         "limit": int,
         "max_grid": int,
         "candidate_delay": float,
     },
     "certify": {
-        "use_scoreboard": bool,
         "offset_model": str,
     },
 }
@@ -198,9 +195,7 @@ def _result_summary(result: "SystemSchedule") -> Dict[str, object]:
 def _schedule_result(
     problem: "Problem", options: Mapping[str, object]
 ) -> "SystemSchedule":
-    kwargs: Dict[str, object] = {
-        "use_scoreboard": options.get("use_scoreboard", True)
-    }
+    kwargs: Dict[str, object] = {}
     max_iterations = options.get("max_iterations")
     if max_iterations is not None:
         kwargs["budget"] = RunBudget(max_iterations=int(max_iterations))
@@ -245,7 +240,6 @@ def _run_sweep(
         problem,
         workers=1,
         prune=bool(options.get("prune", True)),
-        use_scoreboard=bool(options.get("use_scoreboard", True)),
         checkpoint=context.sweep_journal_path,
         fault_for=fault_for,
         # Polled *before* each candidate is evaluated and journaled: an

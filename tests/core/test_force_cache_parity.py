@@ -1,179 +1,88 @@
-"""Decision parity of the incremental force cache (docs/performance.md).
+"""Force reuse: the engine's persistent forces against the reference.
 
-The force cache must change *when* forces are computed, never *what*
-they evaluate to: a cached :class:`ModuloSystemScheduler` run must make
-the byte-identical sequence of reduction decisions — same (process,
-block, op, side) at every iteration — and land on the same final
-schedule and area as the brute-force scan.  These tests pin that over
-the paper workload, a guarded/conditional workload, and a population of
-seeded random systems.
+The engine keeps every operation's frame-end forces across iterations
+and recomputes only what a commit invalidated; the brute-force
+reference recomputes everything every iteration.  Reuse must change
+*when* forces are computed, never *which* reduction wins.  Pinned over
+the paper workload, a guarded/conditional workload and 20 seeded random
+systems, plus the reference's own force against the single-block
+kernel when nothing is shared.
 """
 
 import pytest
 
 from repro.core.periods import PeriodAssignment
-from repro.core.scheduler import ModuloSystemScheduler
-from repro.ir.process import Block, Process, SystemSpec
-from repro.obs import Tracer
+from repro.core.reference import CouplingSnapshot, ReferenceScheduler
+from repro.ir.process import Block
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
-from repro.scheduling.forces import area_weights
-from repro.workloads import (
-    mode_switching_filter,
-    paper_assignment,
-    paper_periods,
-    paper_system,
-    random_dfg,
-)
+from repro.scheduling.forces import placement_force
+from repro.scheduling.state import BlockState
+from repro.workloads import mode_switching_filter, random_dfg
 
-
-def run_scheduler(system, library, assignment, periods, *, force_cache, weights=None):
-    """One traced run; returns (decisions, starts, area, counters)."""
-    tracer = Tracer()
-    scheduler = ModuloSystemScheduler(
-        library, weights=weights, force_cache=force_cache, tracer=tracer
-    )
-    result = scheduler.schedule(system, assignment, periods)
-    decisions = [
-        (e.attrs["process"], e.attrs["block"], e.attrs["op"], e.attrs["side"])
-        for e in tracer.events_named("reduction")
-    ]
-    starts = {key: sched.starts for key, sched in result.block_schedules.items()}
-    return decisions, starts, result.total_area(), tracer.counters.as_dict()
-
-
-def assert_parity(system_factory, library, assignment_factory, periods, weights=None):
-    """Cached and uncached runs must agree on every decision and result.
-
-    Factories rebuild the system/assignment per run so no state leaks
-    between the two arms.
-    """
-    cached = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        force_cache=True,
-        weights=weights,
-    )
-    brute = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        force_cache=False,
-        weights=weights,
-    )
-    assert cached[0] == brute[0], "reduction sequences diverged"
-    assert cached[1] == brute[1], "final schedules diverged"
-    assert cached[2] == brute[2], "total area diverged"
-    return cached[3], brute[3]
+LIBRARY = default_library()
 
 
 class TestPaperSystemParity:
-    def test_paper_system_identical_decisions_and_schedule(self):
-        system, library = paper_system()
-
-        def build_system():
-            return paper_system()[0]
-
-        cached_counters, brute_counters = assert_parity(
-            build_system,
-            library,
-            lambda: paper_assignment(library),
-            paper_periods(),
-            weights=area_weights(library),
-        )
-        assert (
-            cached_counters["force_evaluations"]
-            < brute_counters["force_evaluations"]
-        )
-        assert cached_counters.get("force_cache_hits", 0) > 0
+    def test_paper_system_identical_decisions_and_schedule(
+        self, assert_agree, paper_case, paper_engine
+    ):
+        *factories, options = paper_case
+        counters = assert_agree(*factories, engine_run=paper_engine, **options)
+        # The engine must actually reuse forces, not recompute them.
+        assert counters.get("force_cache_hits", 0) > 0
 
 
 class TestGuardedWorkloadParity:
-    def test_mode_switching_system(self):
+    def test_mode_switching_system(
+        self, assert_agree, single_block_system, all_global
+    ):
         """Guarded ops (mutually exclusive paths) go through the same
         dirty-set rules as unconditional ones."""
-        library = default_library()
 
         def build_system():
-            system = SystemSpec(name="modal")
-            for index, taps in enumerate((3, 4)):
-                graph = mode_switching_filter(taps, name=f"g{index}")
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return single_block_system(
+                "modal",
+                [mode_switching_filter(taps, name=f"g{i}") for i, taps in enumerate((3, 4))],
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {
-                name: 3
-                for name in build_assignment().global_types
-            }
-        )
-        assert_parity(build_system, library, build_assignment, periods)
+        build_assignment, periods = all_global(build_system, 3)
+        assert_agree(build_system, LIBRARY, build_assignment, periods)
 
 
 class TestRandomPopulationParity:
     @pytest.mark.parametrize("seed", range(20))
-    def test_random_system(self, seed):
-        library = default_library()
-
+    def test_random_system(self, seed, assert_agree, single_block_system, all_global):
         def build_system():
-            system = SystemSpec(name=f"rand{seed}")
-            for index in range(3):
-                graph = random_dfg(8, seed=100 * seed + index)
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return single_block_system(
+                f"rand{seed}",
+                [random_dfg(8, seed=100 * seed + index) for index in range(3)],
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 4 for name in build_assignment().global_types}
-        )
-        assert_parity(build_system, library, build_assignment, periods)
+        build_assignment, periods = all_global(build_system, 4)
+        assert_agree(build_system, LIBRARY, build_assignment, periods)
 
 
 class TestLocalForceDelegation:
     def test_scheduler_force_matches_shared_kernel_without_globals(self):
-        """With no global types the coupled scheduler's placement force
-        must equal :func:`repro.scheduling.forces.placement_force` — the
-        scheduler delegates purely-local evaluation to the shared kernel
-        rather than duplicating it."""
-        from repro.core.scheduler import _Entry, _GlobalCoupling
-        from repro.scheduling.forces import placement_force
-        from repro.scheduling.state import BlockState
-
-        library = default_library()
+        """With no global types the reference's modified force must equal
+        :func:`repro.scheduling.forces.placement_force` — the classic
+        local Hooke force of the single-block schedulers."""
         graph = random_dfg(10, seed=7)
-        deadline = graph.critical_path_length(library.latency_of) + 5
+        deadline = graph.critical_path_length(LIBRARY.latency_of) + 5
         block = Block(name="main", graph=graph, deadline=deadline)
-
-        scheduler = ModuloSystemScheduler(library)
-        assignment = ResourceAssignment.all_local(library)
-        entries = [_Entry("p0", block, BlockState(block, library))]
-        coupling = _GlobalCoupling(entries, assignment, PeriodAssignment({}))
-        entry = entries[0]
-        for op_id in entry.state.frames.unfixed():
-            lo, hi = entry.state.frames.frame(op_id)
+        state = BlockState(block, LIBRARY)
+        reference = ReferenceScheduler(LIBRARY)
+        snapshot = CouplingSnapshot(
+            [("p0", state)],
+            ResourceAssignment.all_local(LIBRARY),
+            PeriodAssignment({}),
+        )
+        for op_id in state.frames.unfixed():
+            lo, hi = state.frames.frame(op_id)
             for step in (lo, hi):
-                via_scheduler = scheduler._placement_force(
-                    0, entry, coupling, op_id, step
-                )
+                via_reference = reference.force(snapshot, 0, op_id, step)
                 via_kernel = placement_force(
-                    entry.state, op_id, step, lookahead=scheduler.lookahead
+                    state, op_id, step, lookahead=reference.lookahead
                 )
-                assert via_scheduler == via_kernel
+                assert via_reference == via_kernel

@@ -1,190 +1,134 @@
-"""Decision parity of the batched force kernels (docs/performance.md).
+"""Batched force kernels against the reference's scalar forces.
 
-The array kernels must change *how* forces are computed, never *which*
-reduction wins: a ``use_kernels=True`` run of the coupled scheduler must
-make the identical sequence of reduction decisions — same (process,
-block, op, side) at every iteration — and land on the same schedules,
-area, and telemetry counters as the scalar reference path.  Pinned over
-the paper workload, a guarded/conditional workload, and 20 seeded
-random systems (the ISSUE 7 acceptance oracle).
-
-Counter equality is deliberately strict: the kernel engine mirrors the
-scalar cache's classification (hits, misses, invalidations, assemblies,
-evaluations) event for event, so any drift in the dirty-set or
-staleness bookkeeping shows up here before it can perturb a decision.
+The engine evaluates every candidate batch with array kernels — the
+narrow :class:`~repro.scheduling.kernels.DeltaBatch` rows, guarded ops
+included — and the reference with one
+:meth:`~repro.scheduling.state.BlockState.placement_deltas` call per
+frame end.  The kernels must change *how* forces are computed, never
+their value beyond the last ulp, nor *which* reduction wins.  Pinned
+force for force on the paper workload, and decision for decision on a
+guarded workload, 20 seeded systems that mix guarded and unguarded
+processes, and every alignment/balancing mode.
 """
 
 import pytest
 
-from repro.core.periods import PeriodAssignment
-from repro.core.scheduler import ModuloSystemScheduler
-from repro.ir.process import Block, Process, SystemSpec
-from repro.obs import Tracer
-from repro.resources.assignment import ResourceAssignment
+from repro.core.reference import CouplingSnapshot, ReferenceScheduler
 from repro.resources.library import default_library
 from repro.scheduling.forces import area_weights
-from repro.workloads import (
-    mode_switching_filter,
-    paper_assignment,
-    paper_periods,
-    paper_system,
-    random_dfg,
-)
+from repro.scheduling.state import BlockState
+from repro.workloads import mode_switching_filter, random_dfg
 
+LIBRARY = default_library()
 
-def run_scheduler(system, library, assignment, periods, *, use_kernels, weights=None):
-    """One traced run; returns (decisions, starts, area, counters)."""
-    tracer = Tracer()
-    scheduler = ModuloSystemScheduler(
-        library, weights=weights, use_kernels=use_kernels, tracer=tracer
-    )
-    result = scheduler.schedule(system, assignment, periods)
-    decisions = [
-        (e.attrs["process"], e.attrs["block"], e.attrs["op"], e.attrs["side"])
-        for e in tracer.events_named("reduction")
-    ]
-    starts = {key: sched.starts for key, sched in result.block_schedules.items()}
-    return decisions, starts, result.total_area(), tracer.counters.as_dict()
-
-
-def assert_parity(system_factory, library, assignment_factory, periods, weights=None):
-    """Kernel and scalar runs must agree on every decision and counter."""
-    kernel = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        use_kernels=True,
-        weights=weights,
-    )
-    scalar = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        use_kernels=False,
-        weights=weights,
-    )
-    assert kernel[0] == scalar[0], "reduction sequences diverged"
-    assert kernel[1] == scalar[1], "final schedules diverged"
-    assert kernel[2] == scalar[2], "total area diverged"
-    assert kernel[3] == scalar[3], "telemetry counters diverged"
-    return kernel[3]
+#: Every how many iterations the whole candidate table is checked; the
+#: winner's two forces are checked at every iteration.
+TABLE_STRIDE = 25
 
 
 class TestPaperSystemParity:
-    def test_paper_system_identical_decisions_and_schedule(self):
-        _system, library = paper_system()
-
-        counters = assert_parity(
-            lambda: paper_system()[0],
-            library,
-            lambda: paper_assignment(library),
-            paper_periods(),
-            weights=area_weights(library),
-        )
-        assert counters.get("force_evaluations", 0) > 0
+    def test_paper_system_identical_decisions_and_schedule(self, paper_case, paper_rescan):
+        """Replay the engine's decisions on fresh block states and check
+        its audited forces against :meth:`ReferenceScheduler.force`."""
+        build_system, library, build_assignment, periods, options = paper_case
+        decisions, engine, _counters, trail = paper_rescan
+        system, assignment = build_system(), build_assignment()
+        blocks = [
+            (process.name, BlockState(block, library))
+            for process, block in system.iter_blocks()
+        ]
+        index_of = {
+            (process.name, block.name): index
+            for index, (process, block) in enumerate(system.iter_blocks())
+        }
+        reference = ReferenceScheduler(library, **options)
+        audits = trail.decisions
+        assert len(audits) == len(decisions) > 0
+        checked = 0
+        for iteration, audit in enumerate(audits):
+            snapshot = CouplingSnapshot(blocks, assignment, periods)
+            table = audit.candidates if iteration % TABLE_STRIDE == 0 else (audit,)
+            for candidate in table:
+                index = index_of[(candidate.process, candidate.block)]
+                lo, hi = blocks[index][1].frames.frame(candidate.op)
+                assert candidate.force_low == pytest.approx(
+                    reference.force(snapshot, index, candidate.op, lo),
+                    rel=1e-9, abs=1e-9,
+                )
+                assert candidate.force_high == pytest.approx(
+                    reference.force(snapshot, index, candidate.op, hi),
+                    rel=1e-9, abs=1e-9,
+                )
+                checked += 1
+            state = blocks[index_of[(audit.process, audit.block)]][1]
+            assert state.frames.frame(audit.op) == audit.frame_before
+            state.commit_reduce(audit.op, *audit.frame_after)
+        assert checked > len(audits)
+        assert [(a.process, a.block, a.op, a.side) for a in audits] == decisions
+        assert {
+            key: state.frames.as_schedule()
+            for key, (_process, state) in zip(index_of, blocks)
+        } == {key: sched.starts for key, sched in engine.block_schedules.items()}
 
 
 class TestGuardedWorkloadParity:
-    def test_mode_switching_system(self):
-        """Guarded footprints take the scalar fallback inside the kernel
-        engine; decisions and counters still match the reference path."""
-        library = default_library()
+    def test_mode_switching_system(self, assert_agree, single_block_system, all_global):
+        """Guarded footprints evaluate through the batched narrow rows,
+        under area weights and a tighter deadline."""
 
         def build_system():
-            system = SystemSpec(name="modal")
-            for index, taps in enumerate((3, 4)):
-                graph = mode_switching_filter(taps, name=f"g{index}")
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return single_block_system(
+                "modal",
+                [mode_switching_filter(taps, name=f"g{i}") for i, taps in enumerate((2, 5))],
+                slack=3,
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 3 for name in build_assignment().global_types}
+        build_assignment, periods = all_global(build_system, 4)
+        assert_agree(
+            build_system, LIBRARY, build_assignment, periods,
+            weights=area_weights(LIBRARY),
         )
-        assert_parity(build_system, library, build_assignment, periods)
 
 
 class TestRandomPopulationParity:
     @pytest.mark.parametrize("seed", range(20))
-    def test_random_system(self, seed):
-        library = default_library()
+    def test_random_system(self, seed, assert_agree, single_block_system, all_global):
+        """Two random processes share every type with a modal one."""
 
         def build_system():
-            system = SystemSpec(name=f"rand{seed}")
-            for index in range(3):
-                graph = random_dfg(8, seed=100 * seed + index)
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return single_block_system(
+                f"mixed{seed}",
+                [random_dfg(6, seed=100 * seed + index) for index in range(2)]
+                + [mode_switching_filter(2 + seed % 3, name=f"m{seed}")],
+                slack=3,
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 4 for name in build_assignment().global_types}
-        )
-        assert_parity(build_system, library, build_assignment, periods)
+        build_assignment, periods = all_global(build_system, 3)
+        assert_agree(build_system, LIBRARY, build_assignment, periods)
 
 
 class TestModificationTogglesParity:
-    """The kernel engine must agree with the scalar path in every
-    alignment/balancing mode, not just the full modification."""
+    """Every alignment/balancing mode, not just the full modification."""
 
     @pytest.mark.parametrize(
         "alignment,balancing",
         [(True, True), (True, False), (False, False)],
     )
-    def test_toggle_parity(self, alignment, balancing):
-        library = default_library()
-
+    def test_toggle_parity(
+        self, alignment, balancing, assert_agree, single_block_system, all_global
+    ):
         def build_system():
-            system = SystemSpec(name="toggles")
-            for index in range(3):
-                graph = random_dfg(8, seed=4242 + index)
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return single_block_system(
+                "toggles",
+                [random_dfg(8, seed=4242 + index) for index in range(3)],
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 4 for name in build_assignment().global_types}
+        build_assignment, periods = all_global(build_system, 4)
+        assert_agree(
+            build_system,
+            LIBRARY,
+            build_assignment,
+            periods,
+            periodical_alignment=alignment,
+            global_balancing=balancing,
         )
-
-        def run(use_kernels):
-            tracer = Tracer()
-            scheduler = ModuloSystemScheduler(
-                library,
-                periodical_alignment=alignment,
-                global_balancing=balancing,
-                use_kernels=use_kernels,
-                tracer=tracer,
-            )
-            result = scheduler.schedule(
-                build_system(), build_assignment(), periods
-            )
-            starts = {
-                key: sched.starts
-                for key, sched in result.block_schedules.items()
-            }
-            return starts, result.total_area(), tracer.counters.as_dict()
-
-        assert run(True) == run(False)

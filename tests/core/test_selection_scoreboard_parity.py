@@ -1,198 +1,137 @@
-"""Decision parity of the selection scoreboard (docs/performance.md).
+"""The dirty-cone scoreboard against full rescans and the reference.
 
-The dirty-cone scoreboard must change *how much work* a selection scan
-does, never *which* reduction wins: a ``use_scoreboard=True`` run of
-the coupled scheduler must make the identical sequence of reduction
-decisions — same (process, block, op, side) at every iteration — and
-land on the same schedules, area, and telemetry counters as the full
-per-iteration candidate rescan.  Pinned over the paper workload, a
-guarded/conditional workload, 20 seeded random systems, and 3 scenario
-corpus instances (the ISSUE 8 acceptance oracle), on both the kernel
-and the scalar force paths.
-
-Counter equality is deliberately strict: a skipped entry still charges
-its candidate count and its cache-hit probes exactly as the full scan
-would have, so any drift in the dirty-cone or subscription bookkeeping
-shows up here before it can perturb a decision.  Only the scoreboard's
-own work split (``selection_rescored`` / ``selection_skipped``) is
-excluded — it measures the optimization itself and is zero when the
-scoreboard is off.
+A scan of the engine rescores only the entries the last commit
+perturbed — the committed block, its same-process siblings and the
+subscribers of every balanced type whose system sum moved — and keeps
+every other entry's stored scores.  That must change *how much work* a
+scan does, never *which* reduction wins.  Pinned against the engine's
+own full rescan (candidate capture rescores every entry) on the paper
+workload, and against the brute-force reference on guarded systems with
+and without sibling blocks, 20 seeded multi-block systems, two scenario
+corpus instances and a hypothesis campaign over generated systems.
 """
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.periods import PeriodAssignment
-from repro.core.scheduler import ModuloSystemScheduler
 from repro.ir.process import Block, Process, SystemSpec
-from repro.obs import Tracer
 from repro.resources.assignment import ResourceAssignment
 from repro.resources.library import default_library
-from repro.scheduling.forces import area_weights
-from repro.workloads import (
-    corpus_system,
-    mode_switching_filter,
-    paper_assignment,
-    paper_periods,
-    paper_system,
-    random_dfg,
-)
+from repro.workloads import corpus_system, mode_switching_filter, random_dfg
 
-#: The scoreboard's own counters: legitimately differ between the arms.
-SCOREBOARD_COUNTERS = ("selection_rescored", "selection_skipped")
-
-
-def comparable(counters):
-    """Counters minus the scoreboard-owned work split."""
-    return {
-        name: value
-        for name, value in counters.items()
-        if name not in SCOREBOARD_COUNTERS
-    }
-
-
-def run_scheduler(
-    system, library, assignment, periods, *,
-    use_scoreboard, use_kernels=True, weights=None,
-):
-    """One traced run; returns (decisions, starts, area, counters)."""
-    tracer = Tracer()
-    scheduler = ModuloSystemScheduler(
-        library,
-        weights=weights,
-        use_kernels=use_kernels,
-        use_scoreboard=use_scoreboard,
-        tracer=tracer,
-    )
-    result = scheduler.schedule(system, assignment, periods)
-    decisions = [
-        (e.attrs["process"], e.attrs["block"], e.attrs["op"], e.attrs["side"])
-        for e in tracer.events_named("reduction")
-    ]
-    starts = {key: sched.starts for key, sched in result.block_schedules.items()}
-    return decisions, starts, result.total_area(), tracer.counters.as_dict()
-
-
-def assert_parity(
-    system_factory, library, assignment_factory, periods, *,
-    use_kernels=True, weights=None,
-):
-    """Scoreboard and full-rescan runs must agree decision for decision."""
-    board = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        use_scoreboard=True,
-        use_kernels=use_kernels,
-        weights=weights,
-    )
-    rescan = run_scheduler(
-        system_factory(),
-        library,
-        assignment_factory(),
-        periods,
-        use_scoreboard=False,
-        use_kernels=use_kernels,
-        weights=weights,
-    )
-    assert board[0] == rescan[0], "reduction sequences diverged"
-    assert board[1] == rescan[1], "final schedules diverged"
-    assert board[2] == rescan[2], "total area diverged"
-    assert comparable(board[3]) == comparable(rescan[3]), (
-        "telemetry counters diverged"
-    )
-    return board[3]
+LIBRARY = default_library()
 
 
 class TestPaperSystemParity:
-    @pytest.mark.parametrize("use_kernels", [True, False])
-    def test_paper_system_identical_decisions_and_schedule(self, use_kernels):
-        _system, library = paper_system()
-
-        counters = assert_parity(
-            lambda: paper_system()[0],
-            library,
-            lambda: paper_assignment(library),
-            paper_periods(),
-            use_kernels=use_kernels,
-            weights=area_weights(library),
-        )
-        # The scoreboard must actually skip entries, not just agree.
+    def test_paper_system_identical_decisions_and_schedule(
+        self, paper_engine, paper_rescan
+    ):
+        board, board_result, counters = paper_engine
+        rescan, rescan_result, rescan_counters, _trail = paper_rescan
+        assert board == rescan, "reduction sequences diverged"
+        assert {
+            key: sched.starts for key, sched in board_result.block_schedules.items()
+        } == {key: sched.starts for key, sched in rescan_result.block_schedules.items()}
+        assert board_result.total_area() == rescan_result.total_area()
+        # The scoreboard must actually skip entries, not just agree; the
+        # rescan must skip none.
         assert counters.get("selection_skipped", 0) > 0
+        assert rescan_counters.get("selection_skipped", 0) == 0
 
 
 class TestGuardedWorkloadParity:
-    @pytest.mark.parametrize("use_kernels", [True, False])
-    def test_mode_switching_system(self, use_kernels):
-        """Guarded footprints rescore through the scalar probe path;
-        decisions and counters still match the full rescan."""
-        library = default_library()
+    @pytest.mark.parametrize("siblings", [False, True])
+    def test_mode_switching_system(
+        self, siblings, assert_agree, multi_block_system, all_global
+    ):
+        """Guarded footprints follow the same dirty-cone rule as
+        unconditional ones, including across same-process siblings."""
+        taps = [(3, 2), (5, 4)] if siblings else [(3,), (5,)]
 
         def build_system():
-            system = SystemSpec(name="modal")
-            for index, taps in enumerate((3, 4)):
-                graph = mode_switching_filter(taps, name=f"g{index}")
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return multi_block_system(
+                "modal",
+                [
+                    [mode_switching_filter(t, name=f"g{p}{b}") for b, t in enumerate(ts)]
+                    for p, ts in enumerate(taps)
+                ],
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 3 for name in build_assignment().global_types}
-        )
-        assert_parity(
-            build_system, library, build_assignment, periods,
-            use_kernels=use_kernels,
-        )
+        build_assignment, periods = all_global(build_system, 4)
+        assert_agree(build_system, LIBRARY, build_assignment, periods)
 
 
 class TestRandomPopulationParity:
     @pytest.mark.parametrize("seed", range(20))
-    def test_random_system(self, seed):
-        library = default_library()
+    def test_random_system(self, seed, assert_agree, multi_block_system, all_global):
+        """Two processes of two blocks: every commit dirties a sibling."""
 
         def build_system():
-            system = SystemSpec(name=f"rand{seed}")
-            for index in range(3):
-                graph = random_dfg(8, seed=100 * seed + index)
-                deadline = graph.critical_path_length(library.latency_of) + 4
-                process = Process(name=f"p{index}")
-                process.add_block(
-                    Block(name="main", graph=graph, deadline=deadline)
-                )
-                system.add_process(process)
-            return system
+            return multi_block_system(
+                f"multi{seed}",
+                [
+                    [random_dfg(4, seed=100 * seed + 10 * p + b) for b in range(2)]
+                    for p in range(2)
+                ],
+            )
 
-        def build_assignment():
-            return ResourceAssignment.all_global(library, build_system())
-
-        periods = PeriodAssignment(
-            {name: 4 for name in build_assignment().global_types}
-        )
-        assert_parity(build_system, library, build_assignment, periods)
+        build_assignment, periods = all_global(build_system, 4)
+        assert_agree(build_system, LIBRARY, build_assignment, periods)
 
 
 class TestCorpusParity:
-    """The scenario corpus is the scoreboard's target workload: many
-    heterogeneous processes coupled through eleven shared clusters."""
+    """Many heterogeneous multi-block processes coupled through shared
+    clusters: the workload the dirty cone is built for."""
 
-    @pytest.mark.parametrize("processes,seed", [(6, 0), (10, 1), (14, 2)])
-    def test_corpus_instance(self, processes, seed):
+    @pytest.mark.parametrize("processes,seed", [(6, 0), (10, 1)])
+    def test_corpus_instance(self, processes, seed, assert_agree):
         instance = corpus_system(processes, seed=seed)
-        counters = assert_parity(
+        counters = assert_agree(
             lambda: instance.system,
             instance.library,
             lambda: instance.assignment,
             instance.periods,
         )
-        # Corpus commits touch a small dirty cone: most entry visits
-        # must be skips for the optimization to be doing its job.
-        rescored = counters["selection_rescored"]
-        skipped = counters["selection_skipped"]
-        assert skipped > rescored
+        # Most entry visits must be skips for the scoreboard to be doing
+        # its job.
+        assert counters["selection_skipped"] > counters["selection_rescored"]
+
+
+@st.composite
+def tiny_systems(draw):
+    """2–3 processes of 1–2 blocks each, mixing random and modal graphs."""
+    system = SystemSpec(name="tiny")
+    for p in range(draw(st.integers(min_value=2, max_value=3))):
+        process = Process(name=f"p{p}")
+        for b in range(draw(st.integers(min_value=1, max_value=2))):
+            if draw(st.booleans()):
+                graph = mode_switching_filter(
+                    draw(st.integers(min_value=2, max_value=4)), name=f"g{p}{b}"
+                )
+            else:
+                graph = random_dfg(
+                    draw(st.integers(min_value=2, max_value=7)),
+                    seed=draw(st.integers(min_value=0, max_value=1000)),
+                    name=f"g{p}{b}",
+                )
+            slack = draw(st.integers(min_value=1, max_value=4))
+            deadline = graph.critical_path_length(LIBRARY.latency_of) + slack
+            process.add_block(Block(name=f"b{b}", graph=graph, deadline=deadline))
+        system.add_process(process)
+    assignment = ResourceAssignment.all_global(LIBRARY, system)
+    periods = PeriodAssignment(
+        {
+            name: draw(st.integers(min_value=2, max_value=4))
+            for name in sorted(assignment.global_types)
+        }
+    )
+    return system, assignment, periods
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=tiny_systems())
+def test_engine_matches_reference_on_generated_systems(case, assert_agree):
+    system, assignment, periods = case
+    assert_agree(lambda: system, LIBRARY, lambda: assignment, periods)

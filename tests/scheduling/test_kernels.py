@@ -14,7 +14,7 @@ scalar reference path, and these tests pin both:
 
 Edge cases named by the kernel contracts are covered explicitly:
 empty candidate batches, single-slot frames, occupancy wider than the
-frame, guarded (modal) fallback, and dtype stability.
+frame, guarded (modal) footprints, and dtype stability.
 """
 
 import numpy as np
@@ -53,9 +53,18 @@ def random_state(seed, ops=8, slack=5):
     return BlockState(Block(name=f"b{seed}", graph=graph, deadline=deadline), LIBRARY)
 
 
-def scrambled_state(seed, reductions=3):
-    """A random state after a few committed reductions (mixed frames)."""
-    state = random_state(seed)
+def modal_state(seed, slack=4):
+    """A BlockState over the mode-switching filter: guarded types."""
+    graph = mode_switching_filter(2 + seed % 4, name=f"modal{seed}")
+    deadline = graph.critical_path_length(LIBRARY.latency_of) + slack
+    return BlockState(Block(name=f"m{seed}", graph=graph, deadline=deadline), LIBRARY)
+
+
+def scrambled_state(seed, reductions=3, state=None):
+    """A state (random unless given) after a few committed reductions
+    (mixed frames)."""
+    if state is None:
+        state = random_state(seed)
     rng = np.random.default_rng(seed)
     for _ in range(reductions):
         mobile = state.frames.unfixed()
@@ -215,17 +224,18 @@ def assert_batch_matches_scalar(state, candidates):
 @given(seed=st.integers(min_value=0, max_value=500))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_batch_narrow_bit_parity(seed):
-    """Frame-end batches (IFDS shape) replay the scalar accumulation."""
-    state = scrambled_state(seed)
-    fallback = guarded_footprint_ops(state)
-    candidates = []
-    for op_id in state.frames.unfixed():
-        if op_id in fallback:
-            continue
-        lo, hi = state.frames.frame(op_id)
-        candidates.extend([(op_id, lo), (op_id, hi)])
-    if candidates:
-        assert_batch_matches_scalar(state, candidates)
+    """Frame-end batches (IFDS/system shape) replay the scalar
+    accumulation, guarded footprints included: the coupled scheduler
+    evaluates every operation through this path."""
+    modal = scrambled_state(seed, state=modal_state(seed))
+    assert guarded_footprint_ops(modal), "modal state must have guarded ops"
+    for state in (scrambled_state(seed), modal):
+        candidates = []
+        for op_id in state.frames.unfixed():
+            lo, hi = state.frames.frame(op_id)
+            candidates.extend([(op_id, lo), (op_id, hi)])
+        if candidates:
+            assert_batch_matches_scalar(state, candidates)
 
 
 @given(seed=st.integers(min_value=0, max_value=500))

@@ -160,9 +160,10 @@ def test_unserializable_options_rejected():
 
 
 def test_unknown_option_rejected_at_spec_creation():
-    with pytest.raises(SpecificationError) as excinfo:
-        JobSpec.create("schedule", SMALL_TEXT, {"tpyo": 1})
-    assert excinfo.value.code == "SPEC"
+    for options in ({"tpyo": 1}, {"use_scoreboard": False}):
+        with pytest.raises(SpecificationError) as excinfo:
+            JobSpec.create("schedule", SMALL_TEXT, options)
+        assert excinfo.value.code == "SPEC"
 
 
 def test_unknown_kind_rejected():

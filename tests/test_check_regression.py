@@ -16,14 +16,38 @@ check_regression = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(check_regression)
 
 
+def _arm(evals, wall, area=10.0, iterations=100):
+    return {
+        "area": area,
+        "iterations": iterations,
+        "force_evaluations": evals,
+        "wall_time": wall,
+    }
+
+
 def _scaling_row(processes=2, evals=1000, wall=1.0):
     return {
         "processes": processes,
         "area": 10.0,
         "iterations": 100,
-        "cached": {"force_evaluations": evals, "wall_time": wall * 0.5},
-        "uncached": {"force_evaluations": evals * 3, "wall_time": wall},
+        "engine": _arm(evals, wall * 0.5),
+        "reference": _arm(evals * 3, wall),
+        "decisions_identical": True,
     }
+
+
+def _scale_row(processes=10, wall=1.0, rescored=50, reference=True):
+    row = {
+        "processes": processes,
+        "area": 10.0,
+        "iterations": 100,
+        "us_per_iteration": 1e6 * wall / 100,
+        "engine": dict(_arm(1000, wall), selection_rescored=rescored),
+    }
+    if reference:
+        row["reference"] = _arm(3000, 10 * wall)
+        row["decisions_identical"] = True
+    return row
 
 
 def _sweep_report(evaluated=10, pruned_wall=0.5):
@@ -56,18 +80,9 @@ def _kernel_report(vector=0.1, kernel_wall=0.5):
         "end_to_end": [
             {
                 "processes": 6,
-                "kernel": {
-                    "area": 10.0,
-                    "iterations": 100,
-                    "force_evaluations": 1000,
-                    "wall_time": kernel_wall,
-                },
-                "scalar": {
-                    "area": 10.0,
-                    "iterations": 100,
-                    "force_evaluations": 1000,
-                    "wall_time": 1.0,
-                },
+                "engine": _arm(1000, kernel_wall),
+                "reference": _arm(3000, 1.0),
+                "decisions_identical": True,
                 "speedup": 1.0 / kernel_wall,
             },
         ],
@@ -146,15 +161,22 @@ class TestScalingGate:
 
     def test_wall_ratio_regression_fails(self, tmp_path, capsys):
         current = [_scaling_row()]
-        current[0]["cached"]["wall_time"] = 0.9  # ratio 0.9 vs baseline 0.5
+        current[0]["engine"]["wall_time"] = 0.9  # ratio 0.9 vs baseline 0.5
         assert _run(tmp_path, "scaling", current, [_scaling_row()]) == 1
         assert "wall-time ratio" in capsys.readouterr().out
 
     def test_area_regression_fails_without_tolerance(self, tmp_path, capsys):
         current = [_scaling_row()]
-        current[0]["area"] = 11.0
+        current[0]["engine"]["area"] = 11.0
+        current[0]["reference"]["area"] = 11.0
         assert _run(tmp_path, "scaling", current, [_scaling_row()]) == 1
         capsys.readouterr()
+
+    def test_arm_parity_is_hard(self, tmp_path, capsys):
+        current = [_scaling_row()]
+        current[0]["decisions_identical"] = False
+        assert _run(tmp_path, "scaling", current, [_scaling_row()]) == 1
+        assert "arm parity violated" in capsys.readouterr().out
 
     def test_unmatched_rows_are_skipped_not_failed(self, tmp_path, capsys):
         current = [_scaling_row(processes=2), _scaling_row(processes=4)]
@@ -222,11 +244,11 @@ class TestKernelsGate:
     def test_end_to_end_slowdown_fails(self, tmp_path, capsys):
         current = _kernel_report(kernel_wall=0.9)
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
-        assert "kernel/scalar" in capsys.readouterr().out
+        assert "engine/reference" in capsys.readouterr().out
 
     def test_eval_count_regression_fails(self, tmp_path, capsys):
         current = _kernel_report()
-        current["end_to_end"][0]["kernel"]["force_evaluations"] = 1300
+        current["end_to_end"][0]["engine"]["force_evaluations"] = 1300
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
         capsys.readouterr()
 
@@ -251,6 +273,39 @@ class TestKernelsGate:
         current["end_to_end"][0]["processes"] = 12
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
         capsys.readouterr()
+
+
+class TestScaleGate:
+    def _rows(self, large_wall=2.0, **small):
+        return [
+            _scale_row(**small),
+            _scale_row(processes=20, wall=large_wall, reference=False),
+        ]
+
+    def test_identical_run_passes(self, tmp_path, capsys):
+        assert _run(tmp_path, "scale", self._rows(), self._rows()) == 0
+        assert "no regression" in capsys.readouterr().out
+
+    def test_arm_parity_is_hard(self, tmp_path, capsys):
+        current = self._rows()
+        current[0]["reference"]["iterations"] = 101
+        assert _run(tmp_path, "scale", current, self._rows()) == 1
+        assert "arm parity violated" in capsys.readouterr().out
+
+    def test_missing_reference_arm_fails(self, tmp_path, capsys):
+        current = self._rows(reference=False)
+        assert _run(tmp_path, "scale", current, self._rows()) == 1
+        assert "reference arm missing" in capsys.readouterr().out
+
+    def test_dirty_cone_growth_fails(self, tmp_path, capsys):
+        current = self._rows(rescored=70)
+        assert _run(tmp_path, "scale", current, self._rows()) == 1
+        assert "selection_rescored" in capsys.readouterr().out
+
+    def test_per_iteration_cost_growth_fails(self, tmp_path, capsys):
+        current = self._rows(large_wall=3.0)  # growth 3x vs baseline 2x
+        assert _run(tmp_path, "scale", current, self._rows()) == 1
+        assert "us/iteration growth" in capsys.readouterr().out
 
 
 class TestAbsintGate:

@@ -47,11 +47,18 @@ class TestScheduleCommand:
         assert main(["schedule", sys_file, "--no-verify"]) == 0
         assert "verified" not in capsys.readouterr().out
 
-    def test_schedule_no_scoreboard_same_result(self, sys_file, capsys):
+    def test_schedule_repeat_same_result(self, sys_file, capsys):
         assert main(["schedule", sys_file]) == 0
-        default = capsys.readouterr().out
-        assert main(["schedule", sys_file, "--no-scoreboard"]) == 0
-        assert capsys.readouterr().out == default
+        first = capsys.readouterr().out
+        assert main(["schedule", sys_file]) == 0
+        assert capsys.readouterr().out == first
+
+    @pytest.mark.parametrize("command", ["schedule", "sweep"])
+    def test_no_scoreboard_flag_is_gone(self, sys_file, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, sys_file, "--no-scoreboard"])
+        assert excinfo.value.code == 2
+        assert "--no-scoreboard" in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -119,14 +126,14 @@ class TestSweepEngine:
         ]
         assert best and best == best_par
 
-    def test_sweep_no_scoreboard_same_best(self, sys_file, capsys):
+    def test_sweep_repeat_same_best(self, sys_file, capsys):
         assert main(["sweep", sys_file, "--no-prune"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["sweep", sys_file, "--no-prune", "--no-scoreboard"]) == 0
-        rescan_out = capsys.readouterr().out
-        assert default_out == rescan_out
+        first_out = capsys.readouterr().out
+        assert main(["sweep", sys_file, "--no-prune"]) == 0
+        second_out = capsys.readouterr().out
+        assert first_out == second_out
         assert any(
-            line.startswith("best:") for line in rescan_out.splitlines()
+            line.startswith("best:") for line in second_out.splitlines()
         )
 
     def test_limit_truncation_warns(self, sys_file, capsys):
