@@ -47,6 +47,7 @@ from ..obs.counters import (
     FORCE_CACHE_ASSEMBLIES,
     FORCE_CACHE_HITS,
     FORCE_CACHE_MISSES,
+    FORCE_DELTA_REBUILDS,
     SELECTION_RESCORED,
     SELECTION_SKIPPED,
     count,
@@ -117,15 +118,27 @@ class _SystemKernel:
     other entry keeps its stored per-slot scores, and the winner comes
     from one vectorized strict-prefix-maxima pass over all of them.
 
-    Only invalidated operations do real work: their frame-end deltas are
-    built in one :class:`~repro.scheduling.kernels.DeltaBatch` per block
-    (guarded types replay the branch-max recombination exactly as
-    :meth:`BlockState.placement_deltas` does) and folded per displaced
-    type with batched matrix products.  The per-block
+    Only invalidated operations do real work.  The per-block
     :class:`BlockSelectionCache` holds one marker per evaluated
     operation; its invalidation rules decide which operations are fresh.
-    Decisions agree with :class:`repro.core.reference.ReferenceScheduler`,
-    pinned by the ``tests/core/test_*_parity.py`` differential suite.
+    A fresh evaluation splits into two parts with different inputs:
+
+    * the **record** of each frame end — the eq. 5 override structure
+      built by :class:`~repro.scheduling.kernels.DeltaBatch` — reads
+      frames only, so it is kept per slot side until a commit moves the
+      frame of the operation or of a direct neighbor (the frame half of
+      the dirty-cone rule, :meth:`BlockSelectionCache.frame_cone`);
+    * the **values** read the block's distributions and the coupling,
+      so every fresh operation refolds its record against them: one
+      ``DeltaBatch`` per block (guarded types replay the branch-max
+      recombination exactly as :meth:`BlockState.placement_deltas`
+      does), folded per displaced type with batched matrix products.
+
+    A slot side holds a ``G`` row for exactly the balanced types of its
+    record, so a refold overwrites its rows in place; dropping a record
+    frees them.  Decisions agree with
+    :class:`repro.core.reference.ReferenceScheduler`, pinned by the
+    ``tests/core/test_*_parity.py`` differential suite.
     """
 
     def __init__(
@@ -141,6 +154,16 @@ class _SystemKernel:
         self.weights = scheduler.weights
         self.alignment = scheduler.periodical_alignment
         self.balancing = scheduler.global_balancing
+        # Per entry: the types it folds through the coupling (eq. 7),
+        # i.e. the globally shared ones while alignment is on.
+        interned: Dict[frozenset, frozenset] = {}
+        self._shared = [
+            interned.setdefault(shared, shared)
+            for shared in (
+                frozenset(coupling._shared_types(entry) if self.alignment else ())
+                for entry in entries
+            )
+        ]
 
         self.slot_of: List[Dict[str, int]] = []
         n = 0
@@ -158,10 +181,10 @@ class _SystemKernel:
         self._fold_stamp = np.zeros(n, dtype=np.int64)
         self._force = np.empty((2, n), dtype=float)
         self._scores = np.zeros(n, dtype=float)
-        # Balanced types currently holding a G row for each slot's two
-        # sides, so a re-evaluation can free exactly its own rows.
-        self._assigned_low: List[Tuple[str, ...]] = [()] * n
-        self._assigned_high: List[Tuple[str, ...]] = [()] * n
+        # The DeltaBatch record of each slot's low (2 * slot) and high
+        # (2 * slot + 1) frame end: frame-dependent, so it outlives
+        # every commit outside the op's frame cone.
+        self._records: List[Optional[tuple]] = [None] * (2 * n)
         self._scan_no = 0
 
         # Per-entry candidate lists persist between scans; only entries
@@ -173,8 +196,7 @@ class _SystemKernel:
         ]
         # Balanced types holding a G row among each entry's candidate
         # slots: the entry's scoreboard subscriptions.  Kept as a sorted
-        # list, recomputed on (re)classification from the per-slot
-        # ``_assigned_*`` tuples, which mirror ``gslot > 0``.
+        # list, recomputed on (re)classification from ``_held``.
         self._touched_types: List[List[str]] = [[] for _ in entries]
         self.scoreboard = SelectionScoreboard(len(entries))
         # The concatenated candidate slots of all entries in scan order,
@@ -197,15 +219,23 @@ class _SystemKernel:
         self._top: Dict[str, int] = {}
         self._free: Dict[str, List[int]] = {}
         self._gslot: Dict[str, np.ndarray] = {}
+        self._gflat: Dict[str, np.ndarray] = {}
         self._seen_version: Dict[str, int] = {}
         self._changed_scan: Dict[str, int] = {}
+        # Per entry: G rows held per balanced type (types holding none
+        # are absent).  Only slots with a record hold rows, and only
+        # candidates keep records.
+        self._held: List[Dict[str, int]] = [{} for _ in entries]
         for type_name in balanced:
             period = coupling.period(type_name)
             self._g[type_name] = np.zeros((16, period), dtype=float)
             self._gdots[type_name] = np.zeros(16, dtype=float)
             self._top[type_name] = 1  # row 0: permanent all-zero sentinel
             self._free[type_name] = []
-            self._gslot[type_name] = np.zeros((2, n), dtype=np.int64)
+            # G row of each (slot, side); row ``2 * slot + side`` of the
+            # flat view, like ``_records``.
+            self._gslot[type_name] = np.zeros((n, 2), dtype=np.int64)
+            self._gflat[type_name] = self._gslot[type_name].reshape(-1)
             self._seen_version[type_name] = coupling.s_version(type_name)
             self._changed_scan[type_name] = 0
 
@@ -341,7 +371,7 @@ class _SystemKernel:
                 changed = self._changed_scan[type_name]
                 if changed <= min_stamp or type_name not in touched:
                     continue
-                has_row = (self._gslot[type_name][:, cat_slots] > 0).any(axis=0)
+                has_row = (self._gslot[type_name][cat_slots] > 0).any(axis=1)
                 mask = has_row & (stamps < changed)
                 stale = mask if stale is None else (stale | mask)
             if stale is not None:
@@ -362,8 +392,8 @@ class _SystemKernel:
             for type_name in self._balanced_types:
                 if type_name in touched and self._top[type_name] > 1:
                     force += self._gdots[type_name][
-                        self._gslot[type_name][:, cat_slots]
-                    ]
+                        self._gslot[type_name][cat_slots]
+                    ].T
             flows = force[0]
             fhighs = force[1]
             scores = self._eta[cat_slots] * np.abs(flows - fhighs)
@@ -483,14 +513,8 @@ class _SystemKernel:
         if fresh_ops:
             count(FORCE_CACHE_MISSES, len(fresh_ops))
             self._fresh_eval(index, entry, fresh_ops, scan_no)
-        # Read *after* the fresh evaluation reassigned G rows.
-        assigned_low = self._assigned_low
-        assigned_high = self._assigned_high
-        types: set = set()
-        for slot in slot_list:
-            types.update(assigned_low[slot])
-            types.update(assigned_high[slot])
-        self._touched_types[index] = sorted(types)
+        # Read *after* the fresh evaluation allocated G rows.
+        self._touched_types[index] = sorted(self._held[index])
 
     def note_commit(
         self,
@@ -517,8 +541,15 @@ class _SystemKernel:
 
         With global balancing disabled the force of a block depends only
         on its own ``Q``, so no cross-block invalidation is needed.
+
+        Only the frame half of that rule reaches the records: the ops in
+        :meth:`BlockSelectionCache.frame_cone` drop their ``DeltaBatch``
+        records and G rows (an op that just fixed never needs them
+        again); every other fresh op refolds its stored record.
         """
-        self.caches[entry_index].invalidate_after_commit(effect)
+        cache = self.caches[entry_index]
+        cache.invalidate_after_commit(effect)
+        self._drop_records(entry_index, cache.frame_cone(effect.changed_ops))
         self._dirty_set.add(entry_index)
         if not (self.alignment and self.balancing):
             return
@@ -536,15 +567,43 @@ class _SystemKernel:
                 self.caches[index].invalidate_type(type_name)
         self._dirty_set.update(siblings)
 
+    def _drop_records(self, entry_index: int, ops) -> None:
+        """Forget the records of ``ops`` and free the G rows they held.
+
+        A side holds a G row for exactly the balanced types of its
+        record's order, so the dropped record names the rows to free.
+        """
+        slots_map = self.slot_of[entry_index]
+        records = self._records
+        balanced = self._shared[entry_index] if self.balancing else ()
+        held = self._held[entry_index]
+        for op_id in ops:
+            key = 2 * slots_map[op_id]
+            if records[key] is None:
+                continue
+            for side_key in (key, key + 1):
+                for type_name in records[side_key][0][0]:
+                    if type_name in balanced:
+                        gflat = self._gflat[type_name]
+                        self._free[type_name].append(int(gflat[side_key]))
+                        gflat[side_key] = 0
+                        if held[type_name] == 1:
+                            del held[type_name]
+                        else:
+                            held[type_name] -= 1
+                records[side_key] = None
+
     # -- fresh evaluation ----------------------------------------------
     def _fresh_eval(
         self, index: int, entry: _Entry, fresh_ops: List[str], scan_no: int
     ) -> None:
         """Batch-evaluate both frame ends of a block's invalidated ops.
 
-        One :class:`DeltaBatch` covers every (op, frame-end) pair; each
-        displaced type folds its participating rows with batched matrix
-        products, mirroring
+        One :class:`DeltaBatch` covers every (op, frame-end) pair: it
+        rebuilds the records of ops inside the last commits' frame cones
+        and refolds every pair against the current distributions.  Each
+        displaced type then folds its participating rows with batched
+        matrix products, mirroring
         :meth:`repro.core.reference.ReferenceScheduler.force` branch for
         branch.  Constants, ``w * delta_S`` rows, and their current-``S``
         dots are written into the persistent arrays; the refold in
@@ -557,28 +616,50 @@ class _SystemKernel:
         lookahead = self.lookahead
         weights = self.weights
         process_name = entry.process_name
+        slots_map = self.slot_of[index]
+        records = self._records
         pairs: List[Tuple[str, int]] = []
+        stored: List[Optional[tuple]] = []
+        keys: List[int] = []
+        etas: List[float] = []
         for op_id in fresh_ops:
+            key = 2 * slots_map[op_id]
             lo, hi = frames.frame(op_id)
             pairs.append((op_id, lo))
             pairs.append((op_id, hi))
-        batch = DeltaBatch(state, pairs)
-        type_orders = batch.type_orders
-        # Per type: S-independent value per participating row, plus (for
-        # balanced shared types) the pre-weighted delta_S row and its
-        # current-S dot.
-        const_parts: Dict[str, Dict[int, float]] = {}
-        gvec_parts: Dict[str, Tuple[np.ndarray, np.ndarray, Dict[int, int]]] = {}
-        for type_name, matrix in batch.deltas.items():
-            participants = [
-                row for row, order in enumerate(type_orders) if type_name in order
-            ]
-            if not participants:
-                continue
-            deltas = matrix[np.asarray(participants, dtype=np.intp)]
+            stored.append(records[key])
+            stored.append(records[key + 1])
+            keys.append(key)
+            keys.append(key + 1)
+            etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
+        rebuilt = stored.count(None)
+        batch = DeltaBatch(state, pairs, stored)
+        if rebuilt:
+            count(FORCE_DELTA_REBUILDS, rebuilt // 2)
+            for key, record in zip(keys, batch.records):
+                records[key] = record
+
+        # Batch row ``2k + side`` is side ``side`` of ``fresh_ops[k]``,
+        # whose record and G rows sit at ``keys[2k + side]``.  Each
+        # type's S-independent value lands in its ``batch.cells`` cell
+        # of ``parts`` (one row of ``n`` per type-order position), so
+        # summing the rows of ``parts`` in order reproduces the scalar
+        # ``const += ...`` accumulation over each row's type order bit
+        # for bit (padding adds an exact 0.0 to a sum that started at
+        # +0.0).
+        n = len(pairs)
+        keys_arr = np.asarray(keys, dtype=np.intp)
+        slots_arr = keys_arr[::2] >> 1
+        width = max(map(len, batch.type_orders))
+        parts = np.zeros(width * n, dtype=float)
+        shared = self._shared[index]
+        evaluations = 0
+        for type_name, rows in batch.participants.items():
+            rows_arr = np.asarray(rows, dtype=np.intp)
+            deltas = batch.deltas[type_name][rows_arr]
+            evaluations += len(rows)
             weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
-            count(FORCE_EVALUATIONS, len(participants))
-            if self.alignment and coupling.is_shared(process_name, type_name):
+            if type_name in shared:
                 period = coupling.period(type_name)
                 # ``deltas`` is a fancy-gather copy, safe to fold the
                 # current distribution into in place (a + b commutes).
@@ -588,115 +669,85 @@ class _SystemKernel:
                     q_old = coupling.block_q(index, type_name)
                     q_new -= q_old
                     vals = weight * (
-                        row_dots(q_new, q_old)
-                        + lookahead * row_self_dots(q_new)
+                        row_dots(q_new, q_old) + lookahead * row_self_dots(q_new)
                     )
-                    const_parts[type_name] = dict(zip(participants, vals.tolist()))
                 else:
                     others = coupling.other_blocks_max(index, type_name)
                     m_old = coupling.process_max(process_name, type_name)
                     np.maximum(others, q_new, out=q_new)
                     q_new -= m_old
                     delta_s = q_new
-                    frozen = (weight * lookahead) * row_self_dots(delta_s)
+                    vals = (weight * lookahead) * row_self_dots(delta_s)
                     delta_s *= weight
-                    weighted = delta_s
-                    gdot_vals = row_dots(
-                        weighted, coupling.system_distribution(type_name)
-                    )
-                    const_parts[type_name] = dict(
-                        zip(participants, frozen.tolist())
-                    )
-                    gvec_parts[type_name] = (
-                        weighted,
-                        gdot_vals,
-                        {row: i for i, row in enumerate(participants)},
+                    self._write_rows(
+                        type_name,
+                        index,
+                        keys_arr[rows_arr],
+                        delta_s,
+                        row_dots(delta_s, coupling.system_distribution(type_name)),
                     )
             else:
                 vals = weight * (
                     row_dots(deltas, dist.array(type_name))
                     + lookahead * row_self_dots(deltas)
                 )
-                const_parts[type_name] = dict(zip(participants, vals.tolist()))
-
-        slots_map = self.slot_of[index]
-        # Per-slot scalar array writes are collected in python lists and
-        # flushed as one fancy write per target array (and per type for
-        # the G rows — allocation may grow those, so the flush re-reads
-        # them); the bookkeeping loop itself touches no numpy state.
-        pending: Dict[str, Tuple[List[int], List[int]]] = {}
-        gslot_writes: Dict[Tuple[str, int], Tuple[List[int], List[int]]] = {}
-        slots_list: List[int] = []
-        const_lows: List[float] = []
-        const_highs: List[float] = []
-        etas: List[float] = []
-        gslot = self._gslot
-        for k, op_id in enumerate(fresh_ops):
-            slot = slots_map[op_id]
-            slots_list.append(slot)
-            for side, row, assigned in (
-                (0, 2 * k, self._assigned_low),
-                (1, 2 * k + 1, self._assigned_high),
-            ):
-                for type_name in assigned[slot]:
-                    stale_rows = gslot[type_name]
-                    self._free[type_name].append(int(stale_rows[side, slot]))
-                    stale_rows[side, slot] = 0
-                const = 0.0
-                new_types: List[str] = []
-                for type_name in type_orders[row]:
-                    const += const_parts[type_name][row]
-                    per_type = gvec_parts.get(type_name)
-                    if per_type is not None:
-                        i = per_type[2].get(row)
-                        if i is not None:
-                            row_id = self._alloc_row(type_name)
-                            g_slots, g_rows = gslot_writes.setdefault(
-                                (type_name, side), ([], [])
-                            )
-                            g_slots.append(slot)
-                            g_rows.append(row_id)
-                            row_ids, sources = pending.setdefault(
-                                type_name, ([], [])
-                            )
-                            row_ids.append(row_id)
-                            sources.append(i)
-                            new_types.append(type_name)
-                if side == 0:
-                    const_lows.append(const)
-                else:
-                    const_highs.append(const)
-                assigned[slot] = tuple(new_types)
-            lo, hi = frames.frame(op_id)
-            etas.append(1.0 if hi - lo + 1 <= 2 else 0.5)
-        slots_arr = np.asarray(slots_list, dtype=np.intp)
-        self._const[0, slots_arr] = const_lows
-        self._const[1, slots_arr] = const_highs
+            parts[batch.cells[type_name]] = vals
+        count(FORCE_EVALUATIONS, evaluations)
+        const = np.zeros(n, dtype=float)
+        for part in parts.reshape(width, n):
+            const += part
+        self._const[:, slots_arr] = const.reshape(-1, 2).T
         self._eta[slots_arr] = etas
         self._fold_stamp[slots_arr] = scan_no
-        for (type_name, side), (g_slots, g_rows) in gslot_writes.items():
-            gslot[type_name][side, g_slots] = g_rows
-        for type_name, (row_ids, sources) in pending.items():
-            weighted, gdot_vals, _rowmap = gvec_parts[type_name]
-            self._g[type_name][row_ids] = weighted[sources]
-            self._gdots[type_name][row_ids] = gdot_vals[sources]
 
-    def _alloc_row(self, type_name: str) -> int:
-        """Next free G row of a type, growing the arrays by doubling."""
+    def _write_rows(
+        self,
+        type_name: str,
+        index: int,
+        keys: np.ndarray,
+        weighted: np.ndarray,
+        dots: np.ndarray,
+    ) -> None:
+        """Store a type's ``w * delta_S`` rows and their dots.
+
+        A side that kept its record still holds its G row and overwrites
+        it in place; a side with a rebuilt record gets a free row.
+        """
+        gflat = self._gflat[type_name]
+        row_ids = gflat[keys]
+        if not row_ids.all():
+            need = np.flatnonzero(row_ids == 0)
+            new_ids = self._alloc_rows(type_name, need.size)
+            row_ids[need] = new_ids
+            gflat[keys[need]] = new_ids
+            held = self._held[index]
+            held[type_name] = held.get(type_name, 0) + need.size
+        self._g[type_name][row_ids] = weighted
+        self._gdots[type_name][row_ids] = dots
+
+    def _alloc_rows(self, type_name: str, k: int) -> List[int]:
+        """``k`` free G rows of a type, growing the arrays by doubling."""
         free = self._free[type_name]
-        if free:
-            return free.pop()
-        top = self._top[type_name]
-        g = self._g[type_name]
-        if top == g.shape[0]:
-            grown = np.zeros((2 * top, g.shape[1]), dtype=float)
-            grown[:top] = g
-            self._g[type_name] = grown
-            grown_dots = np.zeros(2 * top, dtype=float)
-            grown_dots[:top] = self._gdots[type_name]
-            self._gdots[type_name] = grown_dots
-        self._top[type_name] = top + 1
-        return top
+        reused = min(k, len(free))
+        row_ids = free[len(free) - reused :]
+        del free[len(free) - reused :]
+        extra = k - reused
+        if extra:
+            top = self._top[type_name]
+            g = self._g[type_name]
+            size = g.shape[0]
+            if top + extra > size:
+                while top + extra > size:
+                    size *= 2
+                grown = np.zeros((size, g.shape[1]), dtype=float)
+                grown[:top] = g[:top]
+                self._g[type_name] = grown
+                grown_dots = np.zeros(size, dtype=float)
+                grown_dots[:top] = self._gdots[type_name][:top]
+                self._gdots[type_name] = grown_dots
+            row_ids.extend(range(top, top + extra))
+            self._top[type_name] = top + extra
+        return row_ids
 
 
 class ModuloSystemScheduler:

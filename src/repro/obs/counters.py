@@ -47,6 +47,7 @@ FORCE_CACHE_HITS = "force_cache_hits"
 FORCE_CACHE_MISSES = "force_cache_misses"
 FORCE_CACHE_INVALIDATIONS = "force_cache_invalidations"
 FORCE_CACHE_ASSEMBLIES = "force_cache_assemblies"
+FORCE_DELTA_REBUILDS = "force_delta_rebuilds"
 CERTIFIER_OFFSET_CLASSES = "certifier_offset_classes"
 CERTIFIER_SLOT_CHECKS = "certifier_slot_checks"
 ABSINT_TRANSFERS = "absint_transfers"
@@ -70,6 +71,7 @@ KNOWN_COUNTERS = (
     FORCE_CACHE_MISSES,
     FORCE_CACHE_INVALIDATIONS,
     FORCE_CACHE_ASSEMBLIES,
+    FORCE_DELTA_REBUILDS,
     CERTIFIER_OFFSET_CLASSES,
     CERTIFIER_SLOT_CHECKS,
     ABSINT_TRANSFERS,

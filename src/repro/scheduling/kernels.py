@@ -74,6 +74,14 @@ __all__ = [
 _STEPS_CACHE: Dict[int, np.ndarray] = {}
 
 
+#: Interned narrow-record layouts ``(type order, override depths)``:
+#: records of every block share one tuple per distinct layout (a few
+#: dozen even on large systems; a per-block table cost more memory than
+#: the records it shrank).  Entries are immutable and compared by value,
+#: so sharing them across runs cannot change a result.
+_LAYOUTS: Dict[tuple, tuple] = {}
+
+
 def _steps(horizon: int) -> np.ndarray:
     steps = _STEPS_CACHE.get(horizon)
     if steps is None:
@@ -179,13 +187,29 @@ class DeltaBatch:
 
     Two internal build paths cover the two batch shapes the schedulers
     produce.  *Narrow* batches — at most two candidate slots per
-    operation, the IFDS/system frame-end case — replay the scalar
-    ``placement_deltas`` accumulation per candidate against the memoized
-    tentative rows, which is both cheaper than stacking occupancy
-    batches at that width and bit-exact by construction.  *Wide* batches
-    (whole-frame FDS scans) assemble one flattened occupancy batch per
-    operation covering the own row and every neighbor row of every
-    candidate in a single :func:`batched_occupancy_rows` call.
+    operation, the IFDS/system frame-end case — split each candidate
+    into a frame-dependent *record* and a distribution-dependent
+    *refold*:
+
+    * the record is the candidate's eq. 5 override structure: which
+      neighbors it implicitly reduces, their memoized tentative rows
+      and current rows, and its displaced-type order.  It reads the
+      frames of the operation and of its direct neighbors, nothing
+      else, so a caller may keep it until one of those frames moves and
+      pass it back through ``records``;
+    * the refold replays the scalar ``placement_deltas`` accumulation
+      against the current distributions.  Unguarded types replay the
+      ``tentative_array`` round trip ``((S + inc_1) + inc_2 ...) - S``
+      (``inc = row - old_row`` per overridden row) elementwise but
+      stacked over every (candidate, type) pair of the batch at once
+      (IEEE addition commutes, so folding the first increment before
+      ``S`` is bit-identical); guarded types replay the literal
+      per-candidate ``tentative_array`` round trip.
+
+    *Wide* batches (whole-frame FDS scans) assemble one flattened
+    occupancy batch per operation covering the own row and every
+    neighbor row of every candidate in a single
+    :func:`batched_occupancy_rows` call.
 
     Attributes:
         candidates: The ``(op_id, start)`` pairs, batch order.
@@ -196,54 +220,75 @@ class DeltaBatch:
             displacement matrix; rows of candidates that do not displace
             the type are never consumed (the narrow path leaves them
             uninitialized, the wide path zero).
+        participants: Narrow batches only (else empty): mapping from
+            type name to the batch rows that displace it, ascending.
+        cells: Narrow batches only (else empty): mapping from type name
+            to ``position * n + row`` per participant (aligned with
+            ``participants``), where ``position`` is the type's index in
+            the row's ``type_orders`` entry — the participant's cell in
+            a ``(max order length, n)`` grid whose column ``row`` lists
+            that row's types in order.
+        records: Narrow batches only (else ``None``): one record per
+            candidate, the ones passed in plus the ones built here.
 
     Only the narrow path handles candidates with a guarded force
     footprint; wide batches must not contain them (see
     :func:`guarded_footprint_ops`).
     """
 
-    __slots__ = ("candidates", "type_orders", "deltas")
+    __slots__ = (
+        "candidates",
+        "type_orders",
+        "deltas",
+        "participants",
+        "cells",
+        "records",
+    )
 
-    def __init__(self, state: BlockState, candidates: Sequence[Tuple[str, int]]):
+    def __init__(
+        self,
+        state: BlockState,
+        candidates: Sequence[Tuple[str, int]],
+        records: Optional[Sequence[Optional[tuple]]] = None,
+    ):
         n = len(candidates)
         self.candidates = list(candidates)
         self.type_orders: List[Tuple[str, ...]] = [()] * n
         self.deltas: Dict[str, np.ndarray] = {}
+        self.participants: Dict[str, List[int]] = {}
+        self.cells: Dict[str, List[int]] = {}
+        self.records: Optional[List[tuple]] = None
 
-        # Group batch rows by operation: all of an op's candidate slots
-        # share the same neighbor structure and vectorize together.
-        groups: Dict[str, List[int]] = {}
-        for row, (op_id, _start) in enumerate(candidates):
-            groups.setdefault(op_id, []).append(row)
-
-        if n <= 2 * len(groups):
-            self._build_narrow(state)
+        if records is not None or n <= 2 * len({op for op, _ in candidates}):
+            self._build_narrow(state, records)
         else:
+            # Group batch rows by operation: all of an op's candidate
+            # slots share the same neighbor structure and vectorize
+            # together.
+            groups: Dict[str, List[int]] = {}
+            for row, (op_id, _start) in enumerate(candidates):
+                groups.setdefault(op_id, []).append(row)
             self._build_wide(state, groups)
 
-    def _build_narrow(self, state: BlockState) -> None:
-        """Per-candidate replay of the scalar delta accumulation.
+    def _build_records(self, state: BlockState, rows: List[int], records) -> None:
+        """Build the narrow record of every candidate row in ``rows``.
 
-        Each row reproduces bit for bit what
-        :meth:`BlockState.placement_deltas` computes.  The common case —
-        one overridden row per displaced type — replays the scalar
-        round trip ``(S + (row - old_row)) - S`` elementwise but stacked
-        over every (candidate, type) pair of the type at once, three
-        vector operations per type instead of four per pair (IEEE
-        addition commutes, so folding the increment first is
-        bit-identical).  Pairs with several overridden rows of one type,
-        or a guarded type, fall back to the literal per-candidate
-        ``tentative_array`` round trip.
+        A record is a flat tuple ``(layout, new, old, new, old, ...)``.
+        ``layout`` is the interned pair ``(order, depths)``: the
+        displaced-type order and, per type, how many overridden rows it
+        has — or 0 for a guarded type, whose branch-max recombination
+        needs the literal ``tentative_array`` replay.  Then come the
+        (tentative row, current row) pairs of every unguarded type, in
+        order, each type's in scalar override order; a record with a
+        guarded type ends with the scalar override mapping.  Every
+        array is shared with the distribution's row memo, so a record
+        costs a few pointers and holds no GC-tracked container.
         """
         dist = state.dist
         frames = state.frames
         type_of = dist.type_of
-        horizon = dist.horizon
-        n = len(self.candidates)
-        deltas = self.deltas
         # Static per-op structure (own latency, predecessors with their
-        # latencies, successors), memoized on the state: the narrow path
-        # re-walks it for the same operations on every invalidation.
+        # latencies, successors), memoized on the state.
         meta = getattr(state, "_narrow_meta", None)
         if meta is None:
             graph = state.graph
@@ -261,11 +306,10 @@ class DeltaBatch:
         hi_of = frames._hi
         current_rows = dist._rows
         tentative_row = dist.tentative_row
-        # singles[type] = (batch rows, new rows, current rows) of every
-        # candidate displacing the type through exactly one override.
-        singles: Dict[str, Tuple[List[int], List[np.ndarray], List[np.ndarray]]] = {}
-        multis: List[Tuple[int, str, List[Tuple[str, np.ndarray]]]] = []
-        for row, (op_id, start) in enumerate(self.candidates):
+        has_guards = dist.has_guards
+        candidates = self.candidates
+        for row in rows:
+            op_id, start = candidates[row]
             latency, preds, succs = meta[op_id]
             # (oid, overriding row) pairs in the scalar override-dict
             # order: the operation itself, predecessors, successors.
@@ -284,67 +328,130 @@ class DeltaBatch:
                     overrides.append(
                         (succ, tentative_row(succ, finish, hi_of[succ]))
                     )
-            order: List[str] = []
-            per_type: Dict[str, List[int]] = {}
-            for position, (oid, _new_row) in enumerate(overrides):
-                type_name = type_of[oid]
+            per_type: Dict[str, List[Tuple[str, np.ndarray]]] = {}
+            for override in overrides:
+                type_name = type_of[override[0]]
                 bucket = per_type.get(type_name)
                 if bucket is None:
-                    per_type[type_name] = [position]
-                    order.append(type_name)
+                    per_type[type_name] = [override]
                 else:
-                    bucket.append(position)
-            self.type_orders[row] = tuple(order)
-            for type_name in order:
-                positions = per_type[type_name]
-                if len(positions) == 1 and not dist.has_guards(type_name):
-                    oid, new_row = overrides[positions[0]]
-                    lists = singles.setdefault(type_name, ([], [], []))
-                    lists[0].append(row)
-                    lists[1].append(new_row)
-                    lists[2].append(current_rows[oid])
+                    bucket.append(override)
+            record: list = [None]
+            depths = []
+            for type_name, bucket in per_type.items():
+                if has_guards(type_name):
+                    depths.append(0)
+                    continue
+                depths.append(len(bucket))
+                for oid, new_row in bucket:
+                    record.append(new_row)
+                    record.append(current_rows[oid])
+            layout = (tuple(per_type), tuple(depths))
+            record[0] = _LAYOUTS.setdefault(layout, layout)
+            if 0 in depths:
+                record.append(dict(overrides))
+            records[row] = tuple(record)
+
+    def _build_narrow(self, state: BlockState, records) -> None:
+        """Records for the rows that lack one, then the refold of all.
+
+        Each row reproduces bit for bit what
+        :meth:`BlockState.placement_deltas` computes against the current
+        distributions, whether its record was built here or passed in.
+        For an unguarded type ``tentative_array`` adds the overridden
+        rows' increments to ``S`` one at a time, in override order, and
+        subtracts ``S`` again; the refold does exactly that, but stacked
+        over every (candidate, type) pair of the batch at once: the
+        first increments of all pairs as one stack, ``+ S`` per type
+        span, each further override depth as one indexed add, then
+        ``- S`` per type span (IEEE addition commutes, so
+        ``inc + S == S + inc``).  Guarded pairs replay
+        ``tentative_array`` itself.
+        """
+        dist = state.dist
+        n = len(self.candidates)
+        records = [None] * n if records is None else list(records)
+        missing = [row for row, record in enumerate(records) if record is None]
+        if missing:
+            self._build_records(state, missing, records)
+        self.records = records
+        deltas = self.deltas
+        participants = self.participants
+        cells = self.cells
+        type_orders = self.type_orders
+        # stacks[type] = (batch rows, first new rows, first current rows,
+        # deeper overrides as (stack index, depth, new row, current row)).
+        stacks: Dict[str, Tuple[List[int], List[np.ndarray], List[np.ndarray], list]]
+        stacks = {}
+        replays: List[Tuple[int, str, Dict[str, np.ndarray]]] = []
+        for row, record in enumerate(records):
+            order, depths = record[0]
+            type_orders[row] = order
+            at = 1
+            for position, type_name in enumerate(order):
+                rows = participants.get(type_name)
+                if rows is None:
+                    participants[type_name] = [row]
+                    cells[type_name] = [position * n + row]
                 else:
-                    multis.append((row, type_name, overrides))
-        # One stacked round trip for every single-override pair of every
-        # type at once: row ``i`` still computes exactly
-        # ``(new - old) + S_t - S_t`` elementwise, so each row is
-        # bit-identical to the per-type version while the numpy call
-        # count per batch stays constant instead of linear in the
-        # number of displaced types.  Rows a candidate does not displace
-        # are never consumed (``type_orders`` gates every consumer), so
-        # the matrices need no zero fill.
-        if singles:
+                    rows.append(row)
+                    cells[type_name].append(position * n + row)
+                depth = depths[position]
+                if not depth:
+                    replays.append((row, type_name, record[-1]))
+                    continue
+                lists = stacks.get(type_name)
+                if lists is None:
+                    lists = stacks[type_name] = ([], [], [], [])
+                if depth > 1:
+                    index = len(lists[0])
+                    for level in range(1, depth):
+                        cell = at + 2 * level
+                        lists[3].append((index, level, record[cell], record[cell + 1]))
+                lists[0].append(row)
+                lists[1].append(record[at])
+                lists[2].append(record[at + 1])
+                at += 2 * depth
+        horizon = dist.horizon
+        # Rows a candidate does not displace are never consumed
+        # (``type_orders`` gates every consumer), so the matrices need
+        # no zero fill.
+        if stacks:
             news_all: List[np.ndarray] = []
             olds_all: List[np.ndarray] = []
-            bases_all: List[np.ndarray] = []
+            deeper: Dict[int, Tuple[List[int], List[np.ndarray], List[np.ndarray]]] = {}
             spans: List[Tuple[str, List[int], int, int]] = []
             offset = 0
-            for type_name, (rows, news, olds) in singles.items():
+            for type_name, (rows, news, olds, extra) in stacks.items():
                 news_all.extend(news)
                 olds_all.extend(olds)
-                bases_all.extend([dist.array(type_name)] * len(rows))
+                for index, level, new_row, old_row in extra:
+                    lists = deeper.setdefault(level, ([], [], []))
+                    lists[0].append(offset + index)
+                    lists[1].append(new_row)
+                    lists[2].append(old_row)
                 spans.append((type_name, rows, offset, offset + len(rows)))
                 offset += len(rows)
             inc = np.asarray(news_all) - np.asarray(olds_all)
-            base_stack = np.asarray(bases_all)
-            inc += base_stack
-            inc -= base_stack
+            for type_name, _rows, lo, hi in spans:
+                inc[lo:hi] += dist.array(type_name)
+            for level in sorted(deeper):
+                index, news, olds = deeper[level]
+                inc[index] += np.asarray(news) - np.asarray(olds)
+            for type_name, _rows, lo, hi in spans:
+                inc[lo:hi] -= dist.array(type_name)
             for type_name, rows, lo, hi in spans:
-                matrix = deltas.get(type_name)
-                if matrix is None:
-                    matrix = np.empty((n, horizon), dtype=float)
-                    deltas[type_name] = matrix
+                matrix = np.empty((n, horizon), dtype=float)
+                deltas[type_name] = matrix
                 matrix[rows] = inc[lo:hi]
-        if multis:
+        if replays:
             scratch = state._scratch
-            for row, type_name, overrides in multis:
+            for row, type_name, overrides in replays:
                 matrix = deltas.get(type_name)
                 if matrix is None:
                     matrix = np.empty((n, horizon), dtype=float)
                     deltas[type_name] = matrix
-                after = dist.tentative_array(
-                    type_name, dict(overrides), out=scratch
-                )
+                after = dist.tentative_array(type_name, overrides, out=scratch)
                 np.subtract(after, dist.array(type_name), out=matrix[row])
 
     def _build_wide(self, state: BlockState, groups: Dict[str, List[int]]) -> None:

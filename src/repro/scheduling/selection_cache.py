@@ -32,7 +32,7 @@ fresh evaluation — the cache changes *when* forces are computed, never
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from ..obs.counters import (
     FORCE_CACHE_HITS,
@@ -96,11 +96,18 @@ class BlockSelectionCache:
             count(FORCE_CACHE_INVALIDATIONS, removed)
         return removed
 
+    def frame_cone(self, changed_ops: Iterable[str]) -> Set[str]:
+        """The frame half of the dirty-set rules: ``changed_ops`` plus
+        their direct neighbors — every operation whose own frame or a
+        direct neighbor's frame changed."""
+        cone = set(changed_ops)
+        for op_id in changed_ops:
+            cone.update(self._neighbors[op_id])
+        return cone
+
     def invalidate_after_commit(self, effect: ReductionEffect) -> int:
         """Apply the local dirty-set rules after one committed reduction."""
-        dirty = set(effect.changed_ops)
-        for op_id in effect.changed_ops:
-            dirty.update(self._neighbors[op_id])
+        dirty = self.frame_cone(effect.changed_ops)
         for type_name in effect.touched_types:
             dirty.update(self._ops_touching_type.get(type_name, ()))
         observe(DIRTY_SET_SIZE, len(dirty))
