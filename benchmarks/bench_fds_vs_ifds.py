@@ -79,6 +79,13 @@ def test_fds_vs_ifds(benchmark):
 
     for entry in rows:
         fds, ifds = entry["fds"], entry["ifds"]
+        # The counter wraps each module's placement_force; a scheduler
+        # that stops calling it would make every ratio below vacuous.
+        for label in ("fds", "ifds"):
+            assert entry[label]["evaluations"] > 0, (
+                f"{label} made no placement_force calls at deadline "
+                f"{entry['deadline']}: the evaluation counter is bypassed"
+            )
         per_iter_fds = fds["evaluations"] / max(1, fds["iterations"])
         per_iter_ifds = ifds["evaluations"] / max(1, ifds["iterations"])
         # IFDS evaluates only the frame ends: bounded per-iteration work.

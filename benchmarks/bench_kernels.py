@@ -9,15 +9,14 @@ real scheduling states, per system size:
   :func:`modulo_max_reference` stride loop;
 * **occupancy_rows** — :func:`batched_occupancy_rows` vs one
   :func:`occupancy_row` call per frame;
-* **delta_build** — :class:`DeltaBatch` vs one
-  ``BlockState.placement_deltas`` call per candidate;
-* **force_fold** — :meth:`PlacementKernel.forces` (whole frame per
-  call) vs one ``placement_force`` call per (op, step);
+* **delta_build_narrow** — one :class:`DeltaBatch` per block over both
+  frame ends of every mobile operation (the coupled scheduler's batch
+  shape) vs one ``BlockState.placement_deltas`` call per candidate;
 * **end_to_end** — the coupled scheduler's selection engine vs the
   brute-force :class:`repro.core.reference.ReferenceScheduler`,
   best-of-``--repeats`` wall time per arm to suppress machine noise.
 
-Decisions are identical in both arms of every comparison (pinned by
+Results are identical in both arms of every comparison (pinned by
 ``tests/core/test_kernel_parity.py`` and
 ``tests/scheduling/test_kernels.py``); only wall time differs.  Scalar
 arms loop enough iterations to stay well above the regression gate's
@@ -38,13 +37,7 @@ from conftest import save_artifact
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
 from repro.resources.library import default_library
 from repro.scheduling.distribution import occupancy_row
-from repro.scheduling.forces import placement_force
-from repro.scheduling.kernels import (
-    DeltaBatch,
-    PlacementKernel,
-    batched_occupancy_rows,
-    guarded_footprint_ops,
-)
+from repro.scheduling.kernels import DeltaBatch, batched_occupancy_rows
 from repro.scheduling.state import BlockState
 
 from bench_scaling import PERIOD, build_problem, build_system, run_ab
@@ -56,8 +49,7 @@ ARM_KEYS = ("wall_time", "iterations", "area", "force_evaluations")
 
 #: Scalar-arm loop counts, sized so every scalar measurement clears the
 #: regression gate's 0.05 s noise floor with margin at 6 processes.
-LOOPS = {"modulo_max": 20, "occupancy_rows": 150, "delta_build_narrow": 100,
-         "delta_build_wide": 24, "force_fold": 16}
+LOOPS = {"modulo_max": 150, "occupancy_rows": 150, "delta_build_narrow": 100}
 
 
 def _time(fn, loops):
@@ -77,29 +69,28 @@ def block_states(n_processes, library):
 
 
 def harvest(n_processes, library):
-    """Shared micro-inputs: frames, candidate batches, delta matrices."""
+    """Shared micro-inputs: frames, frame-end batches, delta rows."""
     states = block_states(n_processes, library)
     frames = []  # (lo, hi, occupancy, horizon)
-    candidates = []  # (state, [(op, step), ...]) whole-frame batches
     narrow = []  # (state, [(op, lo), (op, hi), ...]) frame-end batches
     for state in states:
-        fallback = guarded_footprint_ops(state)
-        batch = []
         ends = []
         for op_id in state.frames.unfixed():
             lo, hi = state.frames.frame(op_id)
             frames.append(
                 (lo, hi, state.dist.occupancy_of[op_id], state.dist.horizon)
             )
-            if op_id not in fallback:
-                batch.extend((op_id, step) for step in range(lo, hi + 1))
-                ends.extend([(op_id, lo), (op_id, hi)])
-        if batch:
-            candidates.append((state, batch))
+            ends.extend([(op_id, lo), (op_id, hi)])
+        if ends:
             narrow.append((state, ends))
     matrices = []
-    for state, batch in candidates:
-        matrices.extend(DeltaBatch(state, batch).deltas.values())
+    for state, ends in narrow:
+        batch = DeltaBatch(state, ends)
+        # Only participant rows are defined; the others are never read.
+        matrices.extend(
+            batch.deltas[type_name][rows]
+            for type_name, rows in batch.participants.items()
+        )
     # Block horizons differ; zero-pad to one width (zeros are inert
     # under the modulo fold, and both arms see identical rows).
     width = max(matrix.shape[1] for matrix in matrices)
@@ -108,12 +99,12 @@ def harvest(n_processes, library):
     for matrix in matrices:
         rows[offset : offset + matrix.shape[0], : matrix.shape[1]] = matrix
         offset += matrix.shape[0]
-    return states, frames, candidates, narrow, rows
+    return frames, narrow, rows
 
 
 def bench_kernels_at(n_processes, library, repeats):
     """Per-kernel scalar-vs-vector wall times at one system size."""
-    _states, frames, candidates, narrow, rows = harvest(n_processes, library)
+    frames, narrow, rows = harvest(n_processes, library)
     results = []
 
     def record(name, batch, scalar_fn, vector_fn):
@@ -163,42 +154,6 @@ def bench_kernels_at(n_processes, library, repeats):
             for op_id, step in ends
         ],
         lambda: [DeltaBatch(state, ends) for state, ends in narrow],
-    )
-
-    n_candidates = sum(len(batch) for _state, batch in candidates)
-    record(
-        "delta_build_wide",
-        n_candidates,
-        lambda: [
-            state.placement_deltas(op_id, step)
-            for state, batch in candidates
-            for op_id, step in batch
-        ],
-        lambda: [DeltaBatch(state, batch) for state, batch in candidates],
-    )
-
-    kernels = [(PlacementKernel(state), state, batch)
-               for state, batch in candidates]
-    by_op = []
-    for kernel, state, batch in kernels:
-        ops = {}
-        for op_id, step in batch:
-            ops.setdefault(op_id, []).append(step)
-        by_op.append((kernel, state, ops))
-    record(
-        "force_fold",
-        n_candidates,
-        lambda: [
-            placement_force(state, op_id, step)
-            for _kernel, state, ops in by_op
-            for op_id, steps in ops.items()
-            for step in steps
-        ],
-        lambda: [
-            kernel.forces(op_id, steps)
-            for kernel, _state, ops in by_op
-            for op_id, steps in ops.items()
-        ],
     )
     return results
 
@@ -273,10 +228,10 @@ def test_kernels(benchmark):
         lambda: run_bench((6,), repeats=2), rounds=1, iterations=1
     )
     for row in report["kernels"]:
-        # The pure-array kernels must win outright; the build/fold
-        # drivers batch small per-op candidate sets at block level, so
-        # "no slower than scalar with margin" is the invariant (their
-        # system-level win is the end_to_end rows).
+        # The pure-array kernels must win outright; the delta build
+        # batches small per-block candidate sets, so "no slower than
+        # scalar with margin" is the invariant (its system-level win is
+        # the end_to_end rows).
         if row["name"] in ("modulo_max", "occupancy_rows"):
             assert row["vector_seconds"] < row["scalar_seconds"], row["name"]
         else:

@@ -12,13 +12,7 @@ from .forces import (
     uniform_weights,
 )
 from .ifds import ImprovedForceDirectedScheduler, ReductionChoice, evaluate_reduction
-from .kernels import (
-    DeltaBatch,
-    PlacementKernel,
-    batched_occupancy_rows,
-    row_dots,
-    row_self_dots,
-)
+from .kernels import DeltaBatch, batched_occupancy_rows, row_dots, row_self_dots
 from .list_scheduling import ListScheduler
 from .schedule import BlockSchedule
 from .selection_cache import BlockSelectionCache
@@ -37,7 +31,6 @@ __all__ = [
     "FrameTable",
     "ImprovedForceDirectedScheduler",
     "ListScheduler",
-    "PlacementKernel",
     "ReductionChoice",
     "ReductionEffect",
     "alap_schedule",

@@ -17,7 +17,7 @@ The IFDS refines classic FDS in two ways the paper relies on (§4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional
 
 from ..ir.process import Block
 from ..obs import SCHEDULER_ITERATIONS, as_tracer, get_logger
@@ -27,7 +27,6 @@ from ..resources.library import ResourceLibrary
 from ..validation.budget import RunBudget
 from .fallback import degraded_block_schedule, frames_state_hash
 from .forces import DEFAULT_LOOKAHEAD, placement_force
-from .kernels import PlacementKernel
 from .schedule import BlockSchedule
 from .selection_cache import BlockSelectionCache
 from .state import BlockState
@@ -52,24 +51,15 @@ def evaluate_reduction(
     *,
     lookahead: float = DEFAULT_LOOKAHEAD,
     weights: Optional[Mapping[str, float]] = None,
-    kernel: Optional[PlacementKernel] = None,
 ) -> ReductionChoice:
-    """Evaluate the IFDS reduction candidate for one mobile operation.
-
-    With ``kernel`` both frame-end forces come from one batched
-    evaluation (:meth:`~repro.scheduling.kernels.PlacementKernel.forces`)
-    instead of two scalar ``placement_force`` calls.
-    """
+    """Evaluate the IFDS reduction candidate for one mobile operation."""
     lo, hi = state.frames.frame(op_id)
-    if kernel is not None:
-        force_low, force_high = kernel.forces(op_id, (lo, hi))
-    else:
-        force_low = placement_force(
-            state, op_id, lo, lookahead=lookahead, weights=weights
-        )
-        force_high = placement_force(
-            state, op_id, hi, lookahead=lookahead, weights=weights
-        )
+    force_low = placement_force(
+        state, op_id, lo, lookahead=lookahead, weights=weights
+    )
+    force_high = placement_force(
+        state, op_id, hi, lookahead=lookahead, weights=weights
+    )
     eta = 1.0 if hi - lo + 1 <= 2 else 0.5
     score = eta * abs(force_low - force_high)
     # Shrink at the side with the higher force (drop the worst placement);
@@ -87,12 +77,11 @@ def evaluate_reduction(
 class ImprovedForceDirectedScheduler:
     """Time-constrained IFDS for a single block.
 
-    With ``force_cache`` enabled (the default) the per-operation
-    :class:`ReductionChoice` evaluations are memoized between iterations
-    and only the dirty set of each committed reduction is re-evaluated;
-    decisions are identical to the brute-force scan.  With
-    ``use_kernels`` (also the default) fresh evaluations go through the
-    batched array kernels; disable for the scalar reference path.
+    The per-operation :class:`ReductionChoice` evaluations are memoized
+    in a :class:`BlockSelectionCache` between iterations and only the
+    dirty set of each committed reduction is re-evaluated, two scalar
+    ``placement_force`` calls per operation; decisions are identical to
+    the brute-force scan.
 
     ``budget`` optionally bounds the run; on exhaustion the block is
     rescheduled by the list-scheduling fallback and the result is tagged
@@ -105,16 +94,12 @@ class ImprovedForceDirectedScheduler:
         *,
         lookahead: float = DEFAULT_LOOKAHEAD,
         weights: Optional[Mapping[str, float]] = None,
-        force_cache: bool = True,
-        use_kernels: bool = True,
         budget: Optional[RunBudget] = None,
         tracer=None,
     ) -> None:
         self.library = library
         self.lookahead = lookahead
         self.weights = weights
-        self.force_cache = force_cache
-        self.use_kernels = use_kernels
         self.budget = budget
         self.tracer = as_tracer(tracer)
 
@@ -122,12 +107,7 @@ class ImprovedForceDirectedScheduler:
         """Schedule one block; returns a validated :class:`BlockSchedule`."""
         tracer = self.tracer
         state = BlockState(block, self.library)
-        cache = BlockSelectionCache(state) if self.force_cache else None
-        kernel = (
-            PlacementKernel(state, lookahead=self.lookahead, weights=self.weights)
-            if self.use_kernels
-            else None
-        )
+        cache = BlockSelectionCache(state)
         tracker = self.budget.tracker() if self.budget is not None else None
         iterations = 0
         with tracer.activate(), tracer.span("ifds", block=block.name):
@@ -158,17 +138,15 @@ class ImprovedForceDirectedScheduler:
                 iterations += 1
                 best: Optional[ReductionChoice] = None
                 for op_id in mobile:
-                    choice = cache.get(op_id) if cache is not None else None
+                    choice = cache.get(op_id)
                     if choice is None:
                         choice = evaluate_reduction(
                             state,
                             op_id,
                             lookahead=self.lookahead,
                             weights=self.weights,
-                            kernel=kernel,
                         )
-                        if cache is not None:
-                            cache.put(op_id, choice)
+                        cache.put(op_id, choice)
                     if best is None or choice.score > best.score + 1e-12:
                         best = choice
                 assert best is not None
@@ -177,8 +155,7 @@ class ImprovedForceDirectedScheduler:
                     effect = state.commit_reduce_effect(best.op_id, lo + 1, hi)
                 else:
                     effect = state.commit_reduce_effect(best.op_id, lo, hi - 1)
-                if cache is not None:
-                    cache.invalidate_after_commit(effect)
+                cache.invalidate_after_commit(effect)
                 if tracer.enabled:
                     tracer.count(SCHEDULER_ITERATIONS)
                     tracer.observe(REDUCTION_SCORE, best.score)

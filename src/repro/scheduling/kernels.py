@@ -8,56 +8,49 @@ distribution displacements (eq. 5) and fold them into Hooke forces
 ``np.dot`` per displaced type; at system scale that is hundreds of
 thousands of interpreter round-trips per run.
 
-This module evaluates *all* candidate slots of an operation (and, for
-the system scheduler, all dirty operations of a block) in one vectorized
-pass over flat ``(candidates, horizon)`` matrices:
+This module evaluates *all* dirty candidate slots of a block in one
+vectorized pass over flat ``(candidates, horizon)`` matrices; the
+coupled system scheduler (:mod:`repro.core.scheduler`) is its caller.
+The single-block FDS/IFDS baselines stay on the scalar path: their
+batches are one operation wide, too small to pay for a batch build.
 
 * :func:`batched_occupancy_rows` generalizes
   :func:`repro.scheduling.distribution.occupancy_row`'s sliding-window
-  counts to a stacked row matrix;
+  counts to a stacked row matrix (no scheduler calls it; it is kept as
+  a public kernel);
 * :class:`DeltaBatch` builds the per-type displacement matrices for a
   whole candidate batch, value-identical per row to
   :meth:`BlockState.placement_deltas`;
-* :class:`PlacementKernel` is the FDS/IFDS driver: one call returns the
-  forces of every start step in an operation's frame.
+* :func:`row_dots` / :func:`row_self_dots` fold those matrices into
+  Hooke dots, one matrix product per displaced type.
 
 Exactness contract
 ------------------
-Displacement construction is purely elementwise (subtract, add, masked
-zero rows), so every ``DeltaBatch`` row is **bit-identical** to the
-scalar path's delta for the same candidate.  The force *dots* are
-batched matrix products, and BLAS matrix–vector products are not
-bitwise-identical to a sequence of ``np.dot`` calls (ulp-level
-differences, empirically ~1e-16).  Decisions in every scheduler compare
-forces against ``1e-12`` epsilons, so agreement with the scalar path is
-pinned at the *decision* level (``tests/core/test_kernel_parity.py``
-for the coupled scheduler, ``tests/scheduling/test_kernels.py`` for
-:class:`PlacementKernel`); results are deterministic because all matrix
-shapes are functions of the scheduling state alone.
+Displacement construction is purely elementwise (subtract, add, and for
+guarded types the scalar ``tentative_array`` replay), so every
+``DeltaBatch`` row is **bit-identical** to the scalar path's delta for
+the same candidate.  The force *dots* are batched matrix products, and
+BLAS matrix–vector products are not bitwise-identical to a sequence of
+``np.dot`` calls (ulp-level differences, empirically ~1e-16).  Decisions
+in every scheduler compare forces against ``1e-12`` epsilons, so
+agreement with the scalar path is pinned at the *decision* level
+(``tests/core/test_kernel_parity.py``, engine vs reference scheduler);
+results are deterministic because all matrix shapes are functions of
+the scheduling state alone.
 
 Guarded types (types with conditional operations) displace through
-branch-max recombination, which is not an additive update.  The narrow
-:class:`DeltaBatch` path — the one the coupled scheduler uses for every
-operation — replays that recombination per candidate exactly as
-:meth:`BlockState.placement_deltas` does.  The wide path does not, so
-:class:`PlacementKernel` sends operations whose force footprint (own
-resource type plus the types of direct predecessors/successors) contains
-a guarded type to the scalar :func:`~repro.scheduling.forces
-.placement_force` instead.
+branch-max recombination, which is not an additive update;
+:class:`DeltaBatch` replays that recombination per candidate exactly as
+:meth:`BlockState.placement_deltas` does.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import SchedulingError
-from ..obs import counters as _ambient
-from ..obs.counters import FORCE_EVALUATIONS, count, observe_many
-from ..obs.metrics import FORCE_EVAL_SECONDS
-from .forces import DEFAULT_LOOKAHEAD, placement_force
 from .state import BlockState
 
 __all__ = [
@@ -65,7 +58,6 @@ __all__ = [
     "row_dots",
     "row_self_dots",
     "DeltaBatch",
-    "PlacementKernel",
 ]
 
 
@@ -74,7 +66,7 @@ __all__ = [
 _STEPS_CACHE: Dict[int, np.ndarray] = {}
 
 
-#: Interned narrow-record layouts ``(type order, override depths)``:
+#: Interned record layouts ``(type order, override depths)``:
 #: records of every block share one tuple per distinct layout (a few
 #: dozen even on large systems; a per-block table cost more memory than
 #: the records it shrank).  Entries are immutable and compared by value,
@@ -174,22 +166,17 @@ def row_self_dots(matrix: np.ndarray) -> np.ndarray:
 class DeltaBatch:
     """Per-type displacement matrices of a batch of tentative placements.
 
-    For candidates ``[(op, start), ...]`` of one block, builds — in a
-    single pass per operation — the eq. 5 displacement of every
-    candidate as rows of per-type ``(len(candidates), horizon)``
-    matrices.  Rows replicate the scalar accumulation exactly: the
-    tentative distribution starts from the current type sum, adds the
-    operation's own row increment and then every implied neighbor
-    increment (predecessors in graph order, then successors), and
-    subtracts the type sum again, so cancellation behaves identically.
-    Neighbors whose frame a candidate does *not* implicitly reduce
-    contribute an exact-zero increment row, which is a numerical no-op.
+    For candidates ``[(op, start), ...]`` of one block, builds the eq. 5
+    displacement of every candidate as rows of per-type
+    ``(len(candidates), horizon)`` matrices.  Rows replicate the scalar
+    accumulation exactly: the tentative distribution starts from the
+    current type sum, adds the operation's own row increment and then
+    every implied neighbor increment (predecessors in graph order, then
+    successors), and subtracts the type sum again, so cancellation
+    behaves identically.
 
-    Two internal build paths cover the two batch shapes the schedulers
-    produce.  *Narrow* batches — at most two candidate slots per
-    operation, the IFDS/system frame-end case — split each candidate
-    into a frame-dependent *record* and a distribution-dependent
-    *refold*:
+    Each candidate splits into a frame-dependent *record* and a
+    distribution-dependent *refold*:
 
     * the record is the candidate's eq. 5 override structure: which
       neighbors it implicitly reduces, their memoized tentative rows
@@ -206,11 +193,6 @@ class DeltaBatch:
       ``S`` is bit-identical); guarded types replay the literal
       per-candidate ``tentative_array`` round trip.
 
-    *Wide* batches (whole-frame FDS scans) assemble one flattened
-    occupancy batch per operation covering the own row and every
-    neighbor row of every candidate in a single
-    :func:`batched_occupancy_rows` call.
-
     Attributes:
         candidates: The ``(op_id, start)`` pairs, batch order.
         type_orders: Per candidate, the displaced type names in
@@ -218,22 +200,17 @@ class DeltaBatch:
             predecessors', then overridden successors').
         deltas: Mapping from type name to its ``(n, horizon)``
             displacement matrix; rows of candidates that do not displace
-            the type are never consumed (the narrow path leaves them
-            uninitialized, the wide path zero).
-        participants: Narrow batches only (else empty): mapping from
-            type name to the batch rows that displace it, ascending.
-        cells: Narrow batches only (else empty): mapping from type name
-            to ``position * n + row`` per participant (aligned with
-            ``participants``), where ``position`` is the type's index in
-            the row's ``type_orders`` entry — the participant's cell in
-            a ``(max order length, n)`` grid whose column ``row`` lists
+            the type are uninitialized and never consumed.
+        participants: Mapping from type name to the batch rows that
+            displace it, ascending.
+        cells: Mapping from type name to ``position * n + row`` per
+            participant (aligned with ``participants``), where
+            ``position`` is the type's index in the row's
+            ``type_orders`` entry — the participant's cell in a
+            ``(max order length, n)`` grid whose column ``row`` lists
             that row's types in order.
-        records: Narrow batches only (else ``None``): one record per
-            candidate, the ones passed in plus the ones built here.
-
-    Only the narrow path handles candidates with a guarded force
-    footprint; wide batches must not contain them (see
-    :func:`guarded_footprint_ops`).
+        records: One record per candidate, the ones passed in plus the
+            ones built here.
     """
 
     __slots__ = (
@@ -257,21 +234,14 @@ class DeltaBatch:
         self.deltas: Dict[str, np.ndarray] = {}
         self.participants: Dict[str, List[int]] = {}
         self.cells: Dict[str, List[int]] = {}
-        self.records: Optional[List[tuple]] = None
-
-        if records is not None or n <= 2 * len({op for op, _ in candidates}):
-            self._build_narrow(state, records)
-        else:
-            # Group batch rows by operation: all of an op's candidate
-            # slots share the same neighbor structure and vectorize
-            # together.
-            groups: Dict[str, List[int]] = {}
-            for row, (op_id, _start) in enumerate(candidates):
-                groups.setdefault(op_id, []).append(row)
-            self._build_wide(state, groups)
+        self.records: List[tuple] = [None] * n if records is None else list(records)
+        missing = [row for row, record in enumerate(self.records) if record is None]
+        if missing:
+            self._build_records(state, missing, self.records)
+        self._refold(state)
 
     def _build_records(self, state: BlockState, rows: List[int], records) -> None:
-        """Build the narrow record of every candidate row in ``rows``.
+        """Build the record of every candidate row in ``rows``.
 
         A record is a flat tuple ``(layout, new, old, new, old, ...)``.
         ``layout`` is the interned pair ``(order, depths)``: the
@@ -289,7 +259,7 @@ class DeltaBatch:
         type_of = dist.type_of
         # Static per-op structure (own latency, predecessors with their
         # latencies, successors), memoized on the state.
-        meta = getattr(state, "_narrow_meta", None)
+        meta = getattr(state, "_record_meta", None)
         if meta is None:
             graph = state.graph
             latency = frames._latency
@@ -301,7 +271,7 @@ class DeltaBatch:
                 )
                 for op_id in graph.op_ids
             }
-            state._narrow_meta = meta
+            state._record_meta = meta
         lo_of = frames._lo
         hi_of = frames._hi
         current_rows = dist._rows
@@ -352,8 +322,8 @@ class DeltaBatch:
                 record.append(dict(overrides))
             records[row] = tuple(record)
 
-    def _build_narrow(self, state: BlockState, records) -> None:
-        """Records for the rows that lack one, then the refold of all.
+    def _refold(self, state: BlockState) -> None:
+        """Refold every row's record against the current distributions.
 
         Each row reproduces bit for bit what
         :meth:`BlockState.placement_deltas` computes against the current
@@ -370,11 +340,7 @@ class DeltaBatch:
         """
         dist = state.dist
         n = len(self.candidates)
-        records = [None] * n if records is None else list(records)
-        missing = [row for row, record in enumerate(records) if record is None]
-        if missing:
-            self._build_records(state, missing, records)
-        self.records = records
+        records = self.records
         deltas = self.deltas
         participants = self.participants
         cells = self.cells
@@ -453,210 +419,3 @@ class DeltaBatch:
                     deltas[type_name] = matrix
                 after = dist.tentative_array(type_name, overrides, out=scratch)
                 np.subtract(after, dist.array(type_name), out=matrix[row])
-
-    def _build_wide(self, state: BlockState, groups: Dict[str, List[int]]) -> None:
-        """Stacked-occupancy path for wide batches (whole-frame scans).
-
-        One flattened :func:`batched_occupancy_rows` call per operation
-        covers the operation's own tentative rows and every neighbor's
-        implied rows for all candidate starts at once.  Increments of
-        neighbor frames a candidate does not implicitly reduce are exact
-        zeros (the batched row equals the current row bit for bit), so
-        accumulating them is a bitwise no-op and needs no masking.
-        """
-        dist = state.dist
-        frames = state.frames
-        graph = state.graph
-        horizon = dist.horizon
-        n = len(self.candidates)
-        candidates = self.candidates
-        for op_id, rows in groups.items():
-            starts = np.asarray([candidates[r][1] for r in rows], dtype=np.int64)
-            width = starts.shape[0]
-            # Per contribution: (type, los, his, occupancy, current row,
-            # overridden mask) in the scalar override-dict order: the
-            # operation itself, predecessors, successors.
-            specs: List[tuple] = [
-                (
-                    dist.type_of[op_id],
-                    starts,
-                    starts,
-                    dist.occupancy_of[op_id],
-                    dist.row(op_id),
-                    None,
-                )
-            ]
-            for pred in graph.predecessors(op_id):
-                p_lo, p_hi = frames.frame(pred)
-                new_hi = np.minimum(p_hi, starts - frames.latency(pred))
-                specs.append(
-                    (
-                        dist.type_of[pred],
-                        np.full_like(starts, p_lo),
-                        new_hi,
-                        dist.occupancy_of[pred],
-                        dist.row(pred),
-                        new_hi != p_hi,
-                    )
-                )
-            finishes = starts + frames.latency(op_id)
-            for succ in graph.successors(op_id):
-                s_lo, s_hi = frames.frame(succ)
-                new_lo = np.maximum(s_lo, finishes)
-                specs.append(
-                    (
-                        dist.type_of[succ],
-                        new_lo,
-                        np.full_like(starts, s_hi),
-                        dist.occupancy_of[succ],
-                        dist.row(succ),
-                        new_lo != s_lo,
-                    )
-                )
-
-            # One occupancy batch for every (contribution, candidate)
-            # row; neighbor frames are implied reductions of feasible
-            # frames, so the invariant-checked bounds always hold.
-            los = np.concatenate([spec[1] for spec in specs])
-            his = np.concatenate([spec[2] for spec in specs])
-            occs = np.repeat(
-                np.asarray([spec[3] for spec in specs], dtype=np.int64), width
-            )
-            incs = batched_occupancy_rows(los, his, occs, horizon, validate=False)
-            for i, spec in enumerate(specs):
-                incs[i * width : (i + 1) * width] -= spec[4]
-
-            # Per-candidate displaced-type order (first occurrence).
-            orders: List[List[str]] = [[specs[0][0]] for _ in rows]
-            for spec in specs[1:]:
-                type_name, mask = spec[0], spec[5]
-                for slot, flagged in enumerate(mask):
-                    if flagged and type_name not in orders[slot]:
-                        orders[slot].append(type_name)
-            for slot, row in enumerate(rows):
-                self.type_orders[row] = tuple(orders[slot])
-
-            # Accumulate per type through the tentative sum, mirroring
-            # tentative_array's  S + inc1 + inc2 ... - S  round trip.
-            by_type: Dict[str, List[int]] = {}
-            for i, spec in enumerate(specs):
-                by_type.setdefault(spec[0], []).append(i)
-            contiguous = rows == list(range(rows[0], rows[0] + width))
-            row_index = None if contiguous else np.asarray(rows, dtype=np.intp)
-            for type_name, spec_ids in by_type.items():
-                matrix = self.deltas.get(type_name)
-                if matrix is None:
-                    matrix = np.zeros((n, horizon), dtype=float)
-                    self.deltas[type_name] = matrix
-                if row_index is None:
-                    view = matrix[rows[0] : rows[0] + width]
-                else:
-                    view = matrix[row_index]
-                base = dist.array(type_name)
-                view[:] = base
-                for i in spec_ids:
-                    view += incs[i * width : (i + 1) * width]
-                view -= base
-                if row_index is not None:
-                    matrix[row_index] = view
-
-
-def guarded_footprint_ops(state: BlockState) -> frozenset:
-    """Operations whose wide-batch force evaluation must use the scalar path.
-
-    An operation's footprint is its own resource type plus the types of
-    its direct predecessors and successors; if any of those types has
-    guarded operations, tentative displacement needs the branch-max
-    recombination, which the additive wide path does not apply.  The set
-    is a static property of the block.
-    """
-    dist = state.dist
-    graph = state.graph
-    fallback = set()
-    for op_id in graph.op_ids:
-        footprint = [op_id]
-        footprint.extend(graph.predecessors(op_id))
-        footprint.extend(graph.successors(op_id))
-        if any(dist.has_guards(dist.type_of[oid]) for oid in footprint):
-            fallback.add(op_id)
-    return frozenset(fallback)
-
-
-class PlacementKernel:
-    """Batched local-force evaluator for one block (FDS/IFDS driver core).
-
-    One :meth:`forces` call returns the weighted Hooke force of placing
-    an operation at *every* requested start step: the per-type
-    displacement matrices come from :class:`DeltaBatch`, the dots from
-    one matrix product per displaced type.  Operations with a guarded
-    footprint are delegated to the scalar
-    :func:`~repro.scheduling.forces.placement_force` reference path.
-
-    Instrumentation parity: ``force_evaluations`` advances by one per
-    (candidate, displaced type) pair — the same total the scalar loop
-    counts — and the ``force_eval_seconds`` histogram receives one
-    batched record of the mean per-candidate latency times the batch
-    width, keeping the uninstrumented path at a single global load.
-    """
-
-    def __init__(
-        self,
-        state: BlockState,
-        *,
-        lookahead: float = DEFAULT_LOOKAHEAD,
-        weights: Optional[Mapping[str, float]] = None,
-    ) -> None:
-        self.state = state
-        self.lookahead = lookahead
-        self.weights = dict(weights) if weights is not None else None
-        self.scalar_ops = guarded_footprint_ops(state)
-
-    def _weight(self, type_name: str) -> float:
-        if self.weights is None:
-            return 1.0
-        return float(self.weights.get(type_name, 1.0))
-
-    def forces(self, op_id: str, steps: Sequence[int]) -> List[float]:
-        """Forces of tentatively placing ``op_id`` at each of ``steps``."""
-        if op_id in self.scalar_ops:
-            return [
-                placement_force(
-                    self.state,
-                    op_id,
-                    step,
-                    lookahead=self.lookahead,
-                    weights=self.weights,
-                )
-                for step in steps
-            ]
-        registry_active = _ambient._active is not None
-        started = time.perf_counter() if registry_active else 0.0
-        batch = DeltaBatch(self.state, [(op_id, step) for step in steps])
-        totals = self._fold(batch)
-        if registry_active:
-            elapsed = time.perf_counter() - started
-            width = len(totals)
-            if width:
-                observe_many(FORCE_EVAL_SECONDS, elapsed / width, width)
-        return totals
-
-    def _fold(self, batch: DeltaBatch) -> List[float]:
-        """Fold a delta batch into per-candidate weighted force totals."""
-        dist = self.state.dist
-        contributions: Dict[str, np.ndarray] = {}
-        for type_name, matrix in batch.deltas.items():
-            weight = self._weight(type_name)
-            contributions[type_name] = weight * (
-                row_dots(matrix, dist.array(type_name))
-                + self.lookahead * row_self_dots(matrix)
-            )
-        totals: List[float] = []
-        evaluations = 0
-        for row, order in enumerate(batch.type_orders):
-            total = 0.0
-            for type_name in order:
-                total += float(contributions[type_name][row])
-            evaluations += len(order)
-            totals.append(total)
-        count(FORCE_EVALUATIONS, evaluations)
-        return totals

@@ -1,7 +1,7 @@
 """Batched force kernels against the reference's scalar forces.
 
 The engine evaluates every candidate batch with array kernels — the
-narrow :class:`~repro.scheduling.kernels.DeltaBatch` rows, guarded ops
+:class:`~repro.scheduling.kernels.DeltaBatch` rows, guarded ops
 included — and the reference with one
 :meth:`~repro.scheduling.state.BlockState.placement_deltas` call per
 frame end.  The kernels must change *how* forces are computed, never
@@ -73,7 +73,7 @@ class TestPaperSystemParity:
 
 class TestGuardedWorkloadParity:
     def test_mode_switching_system(self, assert_agree, single_block_system, all_global):
-        """Guarded footprints evaluate through the batched narrow rows,
+        """Guarded footprints evaluate through the batched rows,
         under area weights and a tighter deadline."""
 
         def build_system():

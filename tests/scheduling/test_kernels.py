@@ -7,7 +7,7 @@ scalar reference path, and these tests pin both:
   displacement rows are elementwise constructions and must equal the
   scalar results bit for bit, on arbitrary frames, occupancies, and
   periods (``assert_array_equal``, no tolerance);
-* **decision-level** — force totals go through batched matrix products
+* **decision-level** — the row dot helpers are batched matrix products
   whose BLAS summation order may differ from the scalar ``np.dot``
   sequence by ulps; they are compared against an epsilon far below the
   ``1e-12`` decision threshold every scheduler uses.
@@ -28,12 +28,9 @@ from repro.errors import SchedulingError
 from repro.ir.process import Block
 from repro.resources.library import default_library
 from repro.scheduling.distribution import occupancy_row
-from repro.scheduling.forces import placement_force
 from repro.scheduling.kernels import (
     DeltaBatch,
-    PlacementKernel,
     batched_occupancy_rows,
-    guarded_footprint_ops,
     row_dots,
     row_self_dots,
 )
@@ -222,37 +219,28 @@ def assert_batch_matches_scalar(state, candidates):
         # are unspecified — only the membership above is checked.
 
 
+def has_guarded_type(state):
+    return any(state.dist.has_guards(t) for t in state.dist.type_names)
+
+
 @given(seed=st.integers(min_value=0, max_value=500))
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_delta_batch_narrow_bit_parity(seed):
-    """Frame-end batches (IFDS/system shape) replay the scalar
-    accumulation, guarded footprints included: the coupled scheduler
-    evaluates every operation through this path."""
+    """Frame-end batches (IFDS/system shape) and whole-frame batches
+    (FDS shape) replay the scalar accumulation, guarded footprints
+    included."""
     modal = scrambled_state(seed, state=modal_state(seed))
-    assert guarded_footprint_ops(modal), "modal state must have guarded ops"
+    assert has_guarded_type(modal), "modal state must have guarded types"
     for state in (scrambled_state(seed), modal):
-        candidates = []
+        ends = []
+        whole = []
         for op_id in state.frames.unfixed():
             lo, hi = state.frames.frame(op_id)
-            candidates.extend([(op_id, lo), (op_id, hi)])
-        if candidates:
-            assert_batch_matches_scalar(state, candidates)
-
-
-@given(seed=st.integers(min_value=0, max_value=500))
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_delta_batch_wide_bit_parity(seed):
-    """Whole-frame batches (FDS shape) through the stacked-occupancy path."""
-    state = scrambled_state(seed)
-    fallback = guarded_footprint_ops(state)
-    candidates = []
-    for op_id in state.frames.unfixed():
-        if op_id in fallback:
-            continue
-        lo, hi = state.frames.frame(op_id)
-        candidates.extend((op_id, step) for step in range(lo, hi + 1))
-    if candidates:
-        assert_batch_matches_scalar(state, candidates)
+            ends.extend([(op_id, lo), (op_id, hi)])
+            whole.extend((op_id, step) for step in range(lo, hi + 1))
+        for candidates in (ends, whole):
+            if candidates:
+                assert_batch_matches_scalar(state, candidates)
 
 
 def test_delta_batch_empty_candidates():
@@ -359,7 +347,7 @@ def test_stored_records_refold_bit_identical_after_type_only_commit(seed):
     builds, on a random state and on a scrambled guarded modal one."""
     rng = np.random.default_rng(seed)
     modal = scrambled_state(seed, state=modal_state(seed))
-    assert guarded_footprint_ops(modal)
+    assert has_guarded_type(modal)
     for state in (scrambled_state(seed, reductions=1), modal):
         assert_refold_matches_fresh_build(state, rng)
 
@@ -376,36 +364,3 @@ def test_type_only_refold_is_exercised():
             scrambled_state(seed, state=modal_state(seed)), rng
         )
     assert hits >= 12
-
-
-# ---------------------------------------------------------------------------
-# PlacementKernel vs placement_force
-# ---------------------------------------------------------------------------
-@given(seed=st.integers(min_value=0, max_value=500))
-@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-def test_placement_kernel_decision_level_parity(seed):
-    state = scrambled_state(seed)
-    kernel = PlacementKernel(state)
-    for op_id in state.frames.unfixed():
-        lo, hi = state.frames.frame(op_id)
-        steps = range(lo, hi + 1)
-        batched = kernel.forces(op_id, steps)
-        scalar = [placement_force(state, op_id, step) for step in steps]
-        assert len(batched) == len(scalar)
-        for got, want in zip(batched, scalar):
-            assert abs(got - want) < DECISION_EPS
-
-
-def test_guarded_footprint_falls_back_to_scalar_bitwise():
-    """Modal blocks route guarded-footprint ops through placement_force;
-    results there are bit-identical (the kernel delegates verbatim)."""
-    graph = mode_switching_filter(4, name="modal")
-    deadline = graph.critical_path_length(LIBRARY.latency_of) + 4
-    state = BlockState(Block(name="m", graph=graph, deadline=deadline), LIBRARY)
-    kernel = PlacementKernel(state)
-    assert kernel.scalar_ops, "modal workload must have a guarded footprint"
-    for op_id in sorted(kernel.scalar_ops):
-        lo, hi = state.frames.frame(op_id)
-        batched = kernel.forces(op_id, range(lo, hi + 1))
-        for step, got in zip(range(lo, hi + 1), batched):
-            assert got == placement_force(state, op_id, step)

@@ -8,10 +8,11 @@ from repro.ir.process import Block
 from repro.obs import Tracer
 from repro.resources.library import default_library
 from repro.scheduling.fds import ForceDirectedScheduler
-from repro.scheduling.ifds import ImprovedForceDirectedScheduler
+from repro.scheduling.forces import placement_force
+from repro.scheduling.ifds import ImprovedForceDirectedScheduler, evaluate_reduction
 from repro.scheduling.selection_cache import BlockSelectionCache
 from repro.scheduling.state import BlockState, ReductionEffect
-from repro.workloads import random_dfg
+from repro.workloads import mode_switching_filter, random_dfg
 
 
 def diamond_block(deadline=6):
@@ -103,48 +104,91 @@ def single_block(seed, slack, library):
     return Block(name=f"b{seed}", graph=graph, deadline=deadline)
 
 
+def parity_block(subject, library):
+    """A random block for an integer subject; a guarded mode-switching
+    filter (``"modalN"``, N precise taps) otherwise."""
+    if isinstance(subject, int):
+        return single_block(subject, 4, library)
+    graph = mode_switching_filter(int(subject[len("modal") :]), name=subject)
+    deadline = graph.critical_path_length(library.latency_of) + 4
+    return Block(name=subject, graph=graph, deadline=deadline)
+
+
+#: Random seeds plus two blocks whose force footprints hold guarded types.
+PARITY_SUBJECTS = [*range(8), "modal2", "modal4"]
+
+
+def brute_force_ifds(block, library):
+    """IFDS without a cache: every mobile op re-evaluated every iteration."""
+    state = BlockState(block, library)
+    decisions = []
+    while state.frames.unfixed():
+        best = None
+        for op_id in state.frames.unfixed():
+            choice = evaluate_reduction(state, op_id)
+            if best is None or choice.score > best.score + 1e-12:
+                best = choice
+        lo, hi = state.frames.frame(best.op_id)
+        if best.shrink_low_side:
+            state.commit_reduce_effect(best.op_id, lo + 1, hi)
+        else:
+            state.commit_reduce_effect(best.op_id, lo, hi - 1)
+        decisions.append((best.op_id, "low" if best.shrink_low_side else "high"))
+    return decisions, state.frames.as_schedule()
+
+
+def brute_force_fds(block, library):
+    """FDS without a cache: every step of every mobile frame re-evaluated
+    every iteration."""
+    state = BlockState(block, library)
+    decisions = []
+    while state.frames.unfixed():
+        best_force = best_op = best_step = None
+        for op_id in state.frames.unfixed():
+            lo, hi = state.frames.frame(op_id)
+            for step in range(lo, hi + 1):
+                force = placement_force(state, op_id, step)
+                if best_force is None or force < best_force - 1e-12:
+                    best_force, best_op, best_step = force, op_id, step
+        state.commit_reduce_effect(best_op, best_step, best_step)
+        decisions.append((best_op, best_step))
+    return decisions, state.frames.as_schedule()
+
+
 class TestSchedulerParity:
     """Cached single-block schedulers replay brute-force decisions exactly."""
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", PARITY_SUBJECTS)
     def test_ifds_parity(self, seed, library):
-        runs = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ImprovedForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            schedule = scheduler.schedule(single_block(seed, 4, library))
-            decisions = [
-                (e.attrs["op"], e.attrs["side"])
-                for e in tracer.events_named("reduction")
-            ]
-            runs[force_cache] = (decisions, schedule.starts)
-        assert runs[True] == runs[False]
+        tracer = Tracer()
+        scheduler = ImprovedForceDirectedScheduler(library, tracer=tracer)
+        schedule = scheduler.schedule(parity_block(seed, library))
+        decisions = [
+            (e.attrs["op"], e.attrs["side"]) for e in tracer.events_named("reduction")
+        ]
+        assert (decisions, schedule.starts) == brute_force_ifds(
+            parity_block(seed, library), library
+        )
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", PARITY_SUBJECTS)
     def test_fds_parity(self, seed, library):
-        runs = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            schedule = scheduler.schedule(single_block(seed, 4, library))
-            decisions = [
-                (e.attrs["op"], e.attrs["step"])
-                for e in tracer.events_named("placement")
-            ]
-            runs[force_cache] = (decisions, schedule.starts)
-        assert runs[True] == runs[False]
+        tracer = Tracer()
+        scheduler = ForceDirectedScheduler(library, tracer=tracer)
+        schedule = scheduler.schedule(parity_block(seed, library))
+        decisions = [
+            (e.attrs["op"], e.attrs["step"]) for e in tracer.events_named("placement")
+        ]
+        assert (decisions, schedule.starts) == brute_force_fds(
+            parity_block(seed, library), library
+        )
 
     def test_ifds_cache_saves_evaluations(self, library):
-        counts = {}
-        for force_cache in (True, False):
-            tracer = Tracer()
-            scheduler = ImprovedForceDirectedScheduler(
-                library, force_cache=force_cache, tracer=tracer
-            )
-            scheduler.schedule(single_block(3, 6, library))
-            counts[force_cache] = tracer.counters.as_dict()["force_evaluations"]
-        assert counts[True] < counts[False]
+        cached = Tracer()
+        ImprovedForceDirectedScheduler(library, tracer=cached).schedule(
+            single_block(3, 6, library)
+        )
+        brute = Tracer()
+        with brute.activate():
+            brute_force_ifds(single_block(3, 6, library), library)
+        evaluations = cached.counters.as_dict()["force_evaluations"]
+        assert 0 < evaluations < brute.counters.as_dict()["force_evaluations"]
