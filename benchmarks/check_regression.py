@@ -10,7 +10,7 @@ tolerance (default 25%) on either axis:
   machines; growth means the algorithm started doing more work.
 * **wall time** — compared only through dimensionless same-run ratios
   (engine/reference for the scaling, kernels and scale benches,
-  pruned/unpruned for the sweep bench, vector/scalar for the kernel
+  pruned/unpruned for the sweep bench, per-loop vector/scalar for the kernel
   micro rows, and the µs-per-iteration growth between corpus sizes for
   the scale bench), so a slower or faster CI machine cannot trip or
   mask the gate; only a change in the *relative* benefit of the
@@ -385,19 +385,31 @@ def check_kernels(gate, current, baseline):
         if base is None:
             gate.skip(f"no baseline kernel row for {key}")
             continue
-        if row["batch"] != base["batch"] or row["loops"] != base["loops"]:
+        workload = ("batch", "scalar_loops", "vector_loops")
+        if any(row[field] != base[field] for field in workload):
             gate.failures.append(
-                f"kernel {key} workload mismatch: batch/loops "
-                f"{row['batch']}/{row['loops']} vs baseline "
-                f"{base['batch']}/{base['loops']} — regenerate the baseline"
+                f"kernel {key} workload mismatch: batch/scalar/vector loops "
+                f"{'/'.join(str(row[field]) for field in workload)} vs "
+                f"baseline {'/'.join(str(base[field]) for field in workload)}"
+                " — regenerate the baseline"
             )
             continue
         matched += 1
-        _wall_ratio(
-            gate,
-            f"{row['name']}@{row['processes']}p vector/scalar time ratio",
-            row["vector_seconds"], row["scalar_seconds"],
-            base["vector_seconds"], base["scalar_seconds"],
+        # Each arm loops its own count; the ratio is per loop, and the
+        # noise floor applies to the measured total of every arm.
+        name = f"{row['name']}@{row['processes']}p vector/scalar per-loop ratio"
+        totals = [
+            arm[f"{side}_s_per_loop"] * arm[f"{side}_loops"]
+            for arm in (row, base)
+            for side in ("vector", "scalar")
+        ]
+        if min(totals) < NOISE_FLOOR_SECONDS:
+            gate.skip(f"{name}: runtimes below {NOISE_FLOOR_SECONDS}s noise floor")
+            continue
+        gate.check_ratio(
+            name,
+            row["vector_s_per_loop"] / row["scalar_s_per_loop"],
+            base["vector_s_per_loop"] / base["scalar_s_per_loop"],
         )
     base_rows = {row["processes"]: row for row in baseline["end_to_end"]}
     for row in current["end_to_end"]:

@@ -130,9 +130,10 @@ class _SystemKernel:
       the dirty-cone rule, :meth:`BlockSelectionCache.frame_cone`);
     * the **values** read the block's distributions and the coupling,
       so every fresh operation refolds its record against them: one
-      ``DeltaBatch`` per block (guarded types replay the branch-max
-      recombination exactly as :meth:`BlockState.placement_deltas`
-      does), folded per displaced type with batched matrix products.
+      ``DeltaBatch`` per block (guarded types fold the branch-max
+      recombination once per type for the whole batch, bit-identical
+      to :meth:`BlockState.placement_deltas`), folded per displaced
+      type with batched matrix products.
 
     A slot side holds a ``G`` row for exactly the balanced types of its
     record, so a refold overwrites its rows in place; dropping a record
@@ -655,16 +656,14 @@ class _SystemKernel:
         shared = self._shared[index]
         evaluations = 0
         for type_name, rows in batch.participants.items():
-            rows_arr = np.asarray(rows, dtype=np.intp)
-            deltas = batch.deltas[type_name][rows_arr]
+            deltas = batch.deltas[type_name]
             evaluations += len(rows)
             weight = 1.0 if weights is None else float(weights.get(type_name, 1.0))
             if type_name in shared:
                 period = coupling.period(type_name)
-                # ``deltas`` is a fancy-gather copy, safe to fold the
-                # current distribution into in place (a + b commutes).
-                deltas += dist.array(type_name)
-                q_new = modulo_max_rows(deltas, period)
+                # A fresh sum, not ``+=``: the batch's matrices may share
+                # one buffer and stay the batch's (a + b commutes).
+                q_new = modulo_max_rows(deltas + dist.array(type_name), period)
                 if not self.balancing:
                     q_old = coupling.block_q(index, type_name)
                     q_new -= q_old
@@ -682,7 +681,7 @@ class _SystemKernel:
                     self._write_rows(
                         type_name,
                         index,
-                        keys_arr[rows_arr],
+                        keys_arr[rows],
                         delta_s,
                         row_dots(delta_s, coupling.system_distribution(type_name)),
                     )

@@ -27,9 +27,10 @@ batches are one operation wide, too small to pay for a batch build.
 Exactness contract
 ------------------
 Displacement construction is purely elementwise (subtract, add, and for
-guarded types the scalar ``tentative_array`` replay), so every
-``DeltaBatch`` row is **bit-identical** to the scalar path's delta for
-the same candidate.  The force *dots* are batched matrix products, and
+guarded types the branch-wise ``+=`` and ``np.maximum`` of
+:func:`~repro.scheduling.distribution.combine_rows`, in its order), so
+every ``DeltaBatch`` row is **bit-identical** to the scalar path's delta
+for the same candidate.  The force *dots* are batched matrix products, and
 BLAS matrix–vector products are not bitwise-identical to a sequence of
 ``np.dot`` calls (ulp-level differences, empirically ~1e-16).  Decisions
 in every scheduler compare forces against ``1e-12`` epsilons, so
@@ -40,8 +41,10 @@ the scheduling state alone.
 
 Guarded types (types with conditional operations) displace through
 branch-max recombination, which is not an additive update;
-:class:`DeltaBatch` replays that recombination per candidate exactly as
-:meth:`BlockState.placement_deltas` does.
+:class:`DeltaBatch` folds that recombination once per guarded type for
+the whole batch — one numpy call per operation of the type over every
+candidate's row at once — in the order
+:meth:`BlockState.placement_deltas` does it per candidate.
 """
 
 from __future__ import annotations
@@ -163,17 +166,76 @@ def row_self_dots(matrix: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", matrix, matrix)
 
 
+def _static_plans(state: BlockState) -> Tuple[dict, dict]:
+    """Static per-block structure, memoized on the state.
+
+    Returns ``(meta, plans)``.  ``meta`` maps each op to its own
+    latency, its predecessors with their latencies, and its successors.
+    ``plans`` maps each guarded type to its fold plan
+    ``(ops, position, unguarded, conditions)``: the type's ops in
+    :func:`combine_rows` order, each op's index in that order, the
+    indices of the unguarded ops, and per condition (insertion order)
+    per branch (insertion order) the indices of the branch's ops.
+    """
+    plans = getattr(state, "_fold_plans", None)
+    if plans is not None:
+        return state._record_meta, plans
+    graph = state.graph
+    dist = state.dist
+    latency = state.frames._latency
+    meta = {
+        op_id: (
+            latency[op_id],
+            [(pred, latency[pred]) for pred in graph.predecessors(op_id)],
+            list(graph.successors(op_id)),
+        )
+        for op_id in graph.op_ids
+    }
+    plans = {}
+    for type_name in dist.type_names:
+        if not dist.has_guards(type_name):
+            continue
+        ops = tuple(dist.ops_of_type(type_name))
+        unguarded: List[int] = []
+        conditions: Dict[str, Dict[str, List[int]]] = {}
+        for position, op_id in enumerate(ops):
+            guard = dist.guard_of.get(op_id)
+            if guard is None:
+                unguarded.append(position)
+            else:
+                condition, branch = guard
+                conditions.setdefault(condition, {}).setdefault(branch, []).append(
+                    position
+                )
+        plans[type_name] = (
+            ops,
+            {op_id: position for position, op_id in enumerate(ops)},
+            tuple(unguarded),
+            tuple(
+                tuple(tuple(positions) for positions in branches.values())
+                for branches in conditions.values()
+            ),
+        )
+    state._record_meta = meta
+    state._fold_plans = plans
+    return meta, plans
+
+
+def _stack(rows: List[np.ndarray], horizon: int) -> np.ndarray:
+    """``rows`` as one ``(len(rows), horizon)`` matrix (one copy)."""
+    return np.concatenate(rows).reshape(-1, horizon)
+
+
 class DeltaBatch:
     """Per-type displacement matrices of a batch of tentative placements.
 
     For candidates ``[(op, start), ...]`` of one block, builds the eq. 5
-    displacement of every candidate as rows of per-type
-    ``(len(candidates), horizon)`` matrices.  Rows replicate the scalar
-    accumulation exactly: the tentative distribution starts from the
-    current type sum, adds the operation's own row increment and then
-    every implied neighbor increment (predecessors in graph order, then
-    successors), and subtracts the type sum again, so cancellation
-    behaves identically.
+    displacement of every candidate that displaces a type as one row of
+    that type's matrix.  Rows replicate the scalar accumulation exactly:
+    the tentative distribution starts from the current type sum, adds
+    the operation's own row increment and then every implied neighbor
+    increment (predecessors in graph order, then successors), and
+    subtracts the type sum again, so cancellation behaves identically.
 
     Each candidate splits into a frame-dependent *record* and a
     distribution-dependent *refold*:
@@ -185,22 +247,25 @@ class DeltaBatch:
       else, so a caller may keep it until one of those frames moves and
       pass it back through ``records``;
     * the refold replays the scalar ``placement_deltas`` accumulation
-      against the current distributions.  Unguarded types replay the
-      ``tentative_array`` round trip ``((S + inc_1) + inc_2 ...) - S``
-      (``inc = row - old_row`` per overridden row) elementwise but
-      stacked over every (candidate, type) pair of the batch at once
-      (IEEE addition commutes, so folding the first increment before
-      ``S`` is bit-identical); guarded types replay the literal
-      per-candidate ``tentative_array`` round trip.
+      against the current distributions, stacked over the batch.
+      Unguarded types replay the ``tentative_array`` round trip
+      ``((S + inc_1) + inc_2 ...) - S`` (``inc = row - old_row`` per
+      overridden row) elementwise over every (candidate, type) pair at
+      once (IEEE addition commutes, so folding the first increment
+      before ``S`` is bit-identical).  Guarded types replay the
+      :func:`~repro.scheduling.distribution.combine_rows` branch-max
+      recombination once per type for all of the type's candidates,
+      one numpy call per operation of the type.
 
     Attributes:
         candidates: The ``(op_id, start)`` pairs, batch order.
         type_orders: Per candidate, the displaced type names in
             first-occurrence order (own type, then overridden
             predecessors', then overridden successors').
-        deltas: Mapping from type name to its ``(n, horizon)``
-            displacement matrix; rows of candidates that do not displace
-            the type are uninitialized and never consumed.
+        deltas: Mapping from type name to its ``(len(participants[type]),
+            horizon)`` displacement matrix: row ``i`` belongs to batch
+            row ``participants[type][i]``.  Matrices may be views of one
+            shared buffer; readers must not write into them.
         participants: Mapping from type name to the batch rows that
             displace it, ascending.
         cells: Mapping from type name to ``position * n + row`` per
@@ -243,40 +308,25 @@ class DeltaBatch:
     def _build_records(self, state: BlockState, rows: List[int], records) -> None:
         """Build the record of every candidate row in ``rows``.
 
-        A record is a flat tuple ``(layout, new, old, new, old, ...)``.
+        A record is a flat tuple ``(layout, a, b, a, b, ...)``.
         ``layout`` is the interned pair ``(order, depths)``: the
         displaced-type order and, per type, how many overridden rows it
-        has — or 0 for a guarded type, whose branch-max recombination
-        needs the literal ``tentative_array`` replay.  Then come the
-        (tentative row, current row) pairs of every unguarded type, in
-        order, each type's in scalar override order; a record with a
-        guarded type ends with the scalar override mapping.  Every
-        array is shared with the distribution's row memo, so a record
-        costs a few pointers and holds no GC-tracked container.
+        has — negated for a guarded type.  Then come two items per
+        overridden row, type by type in order, each type's in scalar
+        override order: (tentative row, current row) for an unguarded
+        type, (op position in the type's fold plan, tentative row) for
+        a guarded one.  Every array is shared with the distribution's
+        row memo, so a record costs a few pointers and holds no
+        GC-tracked container.
         """
         dist = state.dist
         frames = state.frames
         type_of = dist.type_of
-        # Static per-op structure (own latency, predecessors with their
-        # latencies, successors), memoized on the state.
-        meta = getattr(state, "_record_meta", None)
-        if meta is None:
-            graph = state.graph
-            latency = frames._latency
-            meta = {
-                op_id: (
-                    latency[op_id],
-                    [(pred, latency[pred]) for pred in graph.predecessors(op_id)],
-                    list(graph.successors(op_id)),
-                )
-                for op_id in graph.op_ids
-            }
-            state._record_meta = meta
+        meta, plans = _static_plans(state)
         lo_of = frames._lo
         hi_of = frames._hi
         current_rows = dist._rows
         tentative_row = dist.tentative_row
-        has_guards = dist.has_guards
         candidates = self.candidates
         for row in rows:
             op_id, start = candidates[row]
@@ -309,17 +359,20 @@ class DeltaBatch:
             record: list = [None]
             depths = []
             for type_name, bucket in per_type.items():
-                if has_guards(type_name):
-                    depths.append(0)
-                    continue
-                depths.append(len(bucket))
-                for oid, new_row in bucket:
-                    record.append(new_row)
-                    record.append(current_rows[oid])
+                plan = plans.get(type_name)
+                if plan is None:
+                    depths.append(len(bucket))
+                    for oid, new_row in bucket:
+                        record.append(new_row)
+                        record.append(current_rows[oid])
+                else:
+                    depths.append(-len(bucket))
+                    position = plan[1]
+                    for oid, new_row in bucket:
+                        record.append(position[oid])
+                        record.append(new_row)
             layout = (tuple(per_type), tuple(depths))
             record[0] = _LAYOUTS.setdefault(layout, layout)
-            if 0 in depths:
-                record.append(dict(overrides))
             records[row] = tuple(record)
 
     def _refold(self, state: BlockState) -> None:
@@ -328,6 +381,7 @@ class DeltaBatch:
         Each row reproduces bit for bit what
         :meth:`BlockState.placement_deltas` computes against the current
         distributions, whether its record was built here or passed in.
+
         For an unguarded type ``tentative_array`` adds the overridden
         rows' increments to ``S`` one at a time, in override order, and
         subtracts ``S`` again; the refold does exactly that, but stacked
@@ -335,8 +389,19 @@ class DeltaBatch:
         first increments of all pairs as one stack, ``+ S`` per type
         span, each further override depth as one indexed add, then
         ``- S`` per type span (IEEE addition commutes, so
-        ``inc + S == S + inc``).  Guarded pairs replay
-        ``tentative_array`` itself.
+        ``inc + S == S + inc``).
+
+        For a guarded type ``tentative_array`` recombines every row of
+        the type with :func:`combine_rows`; the refold runs that
+        recombination once for all ``k`` candidates displacing the
+        type.  An ``(m, k, horizon)`` tensor holds the type's ``m``
+        current rows for every candidate, with each candidate's
+        overridden rows written in by one indexed assignment; then, in
+        ``combine_rows`` order and one numpy call per operation, the
+        unguarded rows are added into a zero total, each condition's
+        branch sums are folded (first row, then ``+=``) and left-folded
+        with ``np.maximum``, and each condition's maximum is added to
+        the total.  Subtracting ``S`` gives the displacement rows.
         """
         dist = state.dist
         n = len(self.candidates)
@@ -345,11 +410,11 @@ class DeltaBatch:
         participants = self.participants
         cells = self.cells
         type_orders = self.type_orders
-        # stacks[type] = (batch rows, first new rows, first current rows,
-        # deeper overrides as (stack index, depth, new row, current row)).
-        stacks: Dict[str, Tuple[List[int], List[np.ndarray], List[np.ndarray], list]]
-        stacks = {}
-        replays: List[Tuple[int, str, Dict[str, np.ndarray]]] = []
+        # stacks[type] = (first new rows, first current rows, deeper
+        # overrides as (stack index, depth, new row, current row)).
+        stacks: Dict[str, Tuple[List[np.ndarray], List[np.ndarray], list]] = {}
+        # guarded[type] = (candidate indices, op positions, new rows).
+        guarded: Dict[str, Tuple[List[int], List[int], List[np.ndarray]]] = {}
         for row, record in enumerate(records):
             order, depths = record[0]
             type_orders[row] = order
@@ -357,38 +422,43 @@ class DeltaBatch:
             for position, type_name in enumerate(order):
                 rows = participants.get(type_name)
                 if rows is None:
-                    participants[type_name] = [row]
+                    rows = participants[type_name] = []
                     cells[type_name] = [position * n + row]
                 else:
-                    rows.append(row)
                     cells[type_name].append(position * n + row)
                 depth = depths[position]
-                if not depth:
-                    replays.append((row, type_name, record[-1]))
+                if depth < 0:
+                    lists = guarded.get(type_name)
+                    if lists is None:
+                        lists = guarded[type_name] = ([], [], [])
+                    index = len(rows)
+                    for cell in range(at, at - 2 * depth, 2):
+                        lists[0].append(index)
+                        lists[1].append(record[cell])
+                        lists[2].append(record[cell + 1])
+                    at -= 2 * depth
+                    rows.append(row)
                     continue
                 lists = stacks.get(type_name)
                 if lists is None:
-                    lists = stacks[type_name] = ([], [], [], [])
+                    lists = stacks[type_name] = ([], [], [])
                 if depth > 1:
-                    index = len(lists[0])
+                    index = len(rows)
                     for level in range(1, depth):
                         cell = at + 2 * level
-                        lists[3].append((index, level, record[cell], record[cell + 1]))
-                lists[0].append(row)
-                lists[1].append(record[at])
-                lists[2].append(record[at + 1])
+                        lists[2].append((index, level, record[cell], record[cell + 1]))
+                lists[0].append(record[at])
+                lists[1].append(record[at + 1])
                 at += 2 * depth
+                rows.append(row)
         horizon = dist.horizon
-        # Rows a candidate does not displace are never consumed
-        # (``type_orders`` gates every consumer), so the matrices need
-        # no zero fill.
         if stacks:
             news_all: List[np.ndarray] = []
             olds_all: List[np.ndarray] = []
             deeper: Dict[int, Tuple[List[int], List[np.ndarray], List[np.ndarray]]] = {}
-            spans: List[Tuple[str, List[int], int, int]] = []
+            spans: List[Tuple[str, int, int]] = []
             offset = 0
-            for type_name, (rows, news, olds, extra) in stacks.items():
+            for type_name, (news, olds, extra) in stacks.items():
                 news_all.extend(news)
                 olds_all.extend(olds)
                 for index, level, new_row, old_row in extra:
@@ -396,26 +466,42 @@ class DeltaBatch:
                     lists[0].append(offset + index)
                     lists[1].append(new_row)
                     lists[2].append(old_row)
-                spans.append((type_name, rows, offset, offset + len(rows)))
-                offset += len(rows)
-            inc = np.asarray(news_all) - np.asarray(olds_all)
-            for type_name, _rows, lo, hi in spans:
+                spans.append((type_name, offset, offset + len(news)))
+                offset += len(news)
+            inc = _stack(news_all, horizon) - _stack(olds_all, horizon)
+            for type_name, lo, hi in spans:
                 inc[lo:hi] += dist.array(type_name)
             for level in sorted(deeper):
                 index, news, olds = deeper[level]
-                inc[index] += np.asarray(news) - np.asarray(olds)
-            for type_name, _rows, lo, hi in spans:
-                inc[lo:hi] -= dist.array(type_name)
-            for type_name, rows, lo, hi in spans:
-                matrix = np.empty((n, horizon), dtype=float)
-                deltas[type_name] = matrix
-                matrix[rows] = inc[lo:hi]
-        if replays:
-            scratch = state._scratch
-            for row, type_name, overrides in replays:
-                matrix = deltas.get(type_name)
-                if matrix is None:
-                    matrix = np.empty((n, horizon), dtype=float)
-                    deltas[type_name] = matrix
-                after = dist.tentative_array(type_name, overrides, out=scratch)
-                np.subtract(after, dist.array(type_name), out=matrix[row])
+                inc[index] += _stack(news, horizon) - _stack(olds, horizon)
+            for type_name, lo, hi in spans:
+                span = inc[lo:hi]
+                span -= dist.array(type_name)
+                deltas[type_name] = span
+        if guarded:
+            _meta, plans = _static_plans(state)
+            current_rows = dist._rows
+            for type_name, (index, positions, news) in guarded.items():
+                ops, _position, unguarded, conditions = plans[type_name]
+                k = len(participants[type_name])
+                current = _stack([current_rows[op_id] for op_id in ops], horizon)
+                tensor = np.repeat(current[:, None, :], k, axis=1)
+                tensor[positions, index] = _stack(news, horizon)
+                total = np.zeros((k, horizon), dtype=float)
+                for position in unguarded:
+                    total += tensor[position]
+                for branches in conditions:
+                    # Branch sums accumulate in place: every position
+                    # is read once, so the tensor is scratch.
+                    sums = []
+                    for branch in branches:
+                        branch_sum = tensor[branch[0]]
+                        for position in branch[1:]:
+                            branch_sum += tensor[position]
+                        sums.append(branch_sum)
+                    folded = sums[0]
+                    for branch_sum in sums[1:]:
+                        np.maximum(folded, branch_sum, out=folded)
+                    total += folded
+                total -= dist.array(type_name)
+                deltas[type_name] = total

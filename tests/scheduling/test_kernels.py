@@ -25,6 +25,7 @@ from numpy.testing import assert_array_equal
 
 from repro.core.modulo import modulo_max_reference, modulo_max_rows
 from repro.errors import SchedulingError
+from repro.ir.dfg import DataFlowGraph, OpKind
 from repro.ir.process import Block
 from repro.resources.library import default_library
 from repro.scheduling.distribution import occupancy_row
@@ -56,6 +57,58 @@ def modal_state(seed, slack=4):
     graph = mode_switching_filter(2 + seed % 4, name=f"modal{seed}")
     deadline = graph.critical_path_length(LIBRARY.latency_of) + slack
     return BlockState(Block(name=f"m{seed}", graph=graph, deadline=deadline), LIBRARY)
+
+
+def two_condition_graph():
+    """A guarded block whose fold order is observable.
+
+    The multiplier type interleaves unguarded operations with guarded
+    ones across two conditions: ``c1`` has three branches (``x`` and
+    ``y`` with two operations each), ``c2`` has two.  The adder type
+    mixes an unguarded operation with one branch of ``c1``.  Edges make
+    candidates override neighbors of their own guarded type, so one
+    record holds several rows of a guarded type.
+    """
+    graph = DataFlowGraph(name="twocond")
+    graph.add("u_mul0", OpKind.MUL)
+    graph.add("x_mul", OpKind.MUL, guard=("c1", "x"))
+    graph.add("u_add0", OpKind.ADD)
+    graph.add("p_mul", OpKind.MUL, guard=("c2", "p"))
+    graph.add("u_mul2", OpKind.MUL)
+    graph.add("y_mul", OpKind.MUL, guard=("c1", "y"))
+    graph.add("q_mul", OpKind.MUL, guard=("c2", "q"))
+    graph.add("z_mul", OpKind.MUL, guard=("c1", "z"))
+    graph.add("y_mul2", OpKind.MUL, guard=("c1", "y"))
+    graph.add("x_mul2", OpKind.MUL, guard=("c1", "x"))
+    graph.add("u_mul1", OpKind.MUL)
+    graph.add("x_add", OpKind.ADD, guard=("c1", "x"))
+    for src, dst in [
+        ("u_mul0", "x_mul"),
+        ("x_mul", "x_mul2"),
+        ("x_mul2", "x_add"),
+        ("u_add0", "p_mul"),
+        ("p_mul", "u_mul1"),
+        ("u_mul0", "y_mul"),
+        ("y_mul", "y_mul2"),
+        ("y_mul2", "u_mul1"),
+        ("q_mul", "u_mul1"),
+        ("z_mul", "u_mul1"),
+        ("u_mul2", "z_mul"),
+        ("x_add", "u_mul1"),
+    ]:
+        graph.add_edge(src, dst)
+    graph.validate()
+    return graph
+
+
+def two_condition_state(seed):
+    """A BlockState over :func:`two_condition_graph`; the seed sets the
+    deadline slack, so frame widths (and row weights) vary by seed."""
+    graph = two_condition_graph()
+    deadline = graph.critical_path_length(LIBRARY.latency_of) + 3 + seed % 5
+    return BlockState(
+        Block(name=f"t{seed}", graph=graph, deadline=deadline), LIBRARY
+    )
 
 
 def scrambled_state(seed, reductions=3, state=None):
@@ -202,25 +255,39 @@ def test_row_dot_helpers_match_scalar_dots(seed):
 # DeltaBatch vs BlockState.placement_deltas (bit parity)
 # ---------------------------------------------------------------------------
 def assert_batch_matches_scalar(state, candidates):
+    """Every displacement row equals the scalar one; returns the batch."""
     batch = DeltaBatch(state, candidates)
+    for type_name, rows in batch.participants.items():
+        assert batch.deltas[type_name].shape == (len(rows), state.dist.horizon)
     for row, (op_id, start) in enumerate(candidates):
         scalar = state.placement_deltas(op_id, start)
         # The scalar dict iterates a set, so only the membership is
         # deterministic; the batch pins first-occurrence order on top.
         assert set(batch.type_orders[row]) == set(scalar.keys())
         for type_name, delta in scalar.items():
+            index = batch.participants[type_name].index(row)
             assert_array_equal(
-                batch.deltas[type_name][row],
+                batch.deltas[type_name][index],
                 delta,
                 err_msg=f"{op_id}@{start} type {type_name}",
             )
-        # Rows of types the candidate does not displace are never
-        # consumed (type_orders gates every reader), so their contents
-        # are unspecified — only the membership above is checked.
+    return batch
 
 
 def has_guarded_type(state):
     return any(state.dist.has_guards(t) for t in state.dist.type_names)
+
+
+def guarded_fold_width(state, batch):
+    """Most candidates the batch folds together for one guarded type."""
+    return max(
+        (
+            len(rows)
+            for type_name, rows in batch.participants.items()
+            if state.dist.has_guards(type_name)
+        ),
+        default=0,
+    )
 
 
 @given(seed=st.integers(min_value=0, max_value=500))
@@ -228,10 +295,14 @@ def has_guarded_type(state):
 def test_delta_batch_narrow_bit_parity(seed):
     """Frame-end batches (IFDS/system shape) and whole-frame batches
     (FDS shape) replay the scalar accumulation, guarded footprints
-    included."""
+    included: the mode-switching filter (one condition, two branches)
+    and a block with unguarded operations interleaved into two
+    conditions, one of three branches."""
     modal = scrambled_state(seed, state=modal_state(seed))
     assert has_guarded_type(modal), "modal state must have guarded types"
-    for state in (scrambled_state(seed), modal):
+    two_condition = scrambled_state(seed, state=two_condition_state(seed))
+    assert has_guarded_type(two_condition)
+    for state in (scrambled_state(seed), modal, two_condition):
         ends = []
         whole = []
         for op_id in state.frames.unfixed():
@@ -240,7 +311,11 @@ def test_delta_batch_narrow_bit_parity(seed):
             whole.extend((op_id, step) for step in range(lo, hi + 1))
         for candidates in (ends, whole):
             if candidates:
-                assert_batch_matches_scalar(state, candidates)
+                batch = assert_batch_matches_scalar(state, candidates)
+                if has_guarded_type(state):
+                    # Not vacuous: the guarded fold stacked several
+                    # candidates of one type.
+                    assert guarded_fold_width(state, batch) >= 2
 
 
 def test_delta_batch_empty_candidates():
@@ -263,8 +338,9 @@ def test_delta_batch_dtype_stability():
     op_id = state.frames.unfixed()[0]
     lo, hi = state.frames.frame(op_id)
     batch = DeltaBatch(state, [(op_id, lo), (op_id, hi)])
-    for matrix in batch.deltas.values():
+    for type_name, matrix in batch.deltas.items():
         assert matrix.dtype == np.float64
+        assert matrix.shape == (len(batch.participants[type_name]), state.dist.horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +404,12 @@ def assert_refold_matches_fresh_build(state, rng):
     assert refolded.type_orders == fresh.type_orders
     assert refolded.participants == fresh.participants
     assert refolded.cells == fresh.cells
-    for type_name, rows in fresh.participants.items():
-        assert_array_equal(
-            refolded.deltas[type_name][rows], fresh.deltas[type_name][rows]
-        )
+    for type_name in fresh.participants:
+        assert_array_equal(refolded.deltas[type_name], fresh.deltas[type_name])
     for row, (op_id, start) in enumerate(pairs):
         for type_name, delta in state.placement_deltas(op_id, start).items():
-            assert_array_equal(refolded.deltas[type_name][row], delta)
+            index = refolded.participants[type_name].index(row)
+            assert_array_equal(refolded.deltas[type_name][index], delta)
     return True
 
 
@@ -344,17 +419,21 @@ def test_stored_records_refold_bit_identical_after_type_only_commit(seed):
     """A record depends on frames alone: after a commit that moves a
     type's distribution but no frame of the op or of its neighbors, the
     stored record refolds to exactly the rows a fresh DeltaBatch
-    builds, on a random state and on a scrambled guarded modal one."""
+    builds, on a random state, a scrambled guarded modal one, and a
+    scrambled two-condition one (three-branch condition, unguarded
+    operations interleaved)."""
     rng = np.random.default_rng(seed)
     modal = scrambled_state(seed, state=modal_state(seed))
     assert has_guarded_type(modal)
-    for state in (scrambled_state(seed, reductions=1), modal):
+    two_condition = scrambled_state(seed, reductions=1, state=two_condition_state(seed))
+    for state in (scrambled_state(seed, reductions=1), modal, two_condition):
         assert_refold_matches_fresh_build(state, rng)
 
 
 def test_type_only_refold_is_exercised():
     """The property above must not pass vacuously."""
     hits = 0
+    guarded_hits = 0
     for seed in range(12):
         rng = np.random.default_rng(seed)
         hits += assert_refold_matches_fresh_build(
@@ -363,4 +442,9 @@ def test_type_only_refold_is_exercised():
         hits += assert_refold_matches_fresh_build(
             scrambled_state(seed, state=modal_state(seed)), rng
         )
+        guarded_hits += assert_refold_matches_fresh_build(
+            scrambled_state(seed, reductions=1, state=two_condition_state(seed)),
+            rng,
+        )
     assert hits >= 12
+    assert guarded_hits >= 8

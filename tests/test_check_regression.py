@@ -64,17 +64,20 @@ def _sweep_report(evaluated=10, pruned_wall=0.5):
     }
 
 
-def _kernel_report(vector=0.1, kernel_wall=0.5):
+def _kernel_report(vector=0.01, kernel_wall=0.5):
+    """One micro row: scalar 0.05 s/loop x 20 loops, vector ``vector``
+    s/loop x 200 loops (both arm totals above the noise floor)."""
     return {
         "kernels": [
             {
                 "name": "modulo_max",
                 "processes": 6,
                 "batch": 100,
-                "loops": 20,
-                "scalar_seconds": 1.0,
-                "vector_seconds": vector,
-                "speedup": 1.0 / vector,
+                "scalar_loops": 20,
+                "vector_loops": 200,
+                "scalar_s_per_loop": 0.05,
+                "vector_s_per_loop": vector,
+                "speedup": 0.05 / vector,
             },
         ],
         "end_to_end": [
@@ -237,9 +240,23 @@ class TestKernelsGate:
         assert "no regression" in capsys.readouterr().out
 
     def test_vector_slowdown_fails(self, tmp_path, capsys):
-        current = _kernel_report(vector=0.2)  # ratio doubled vs baseline
+        current = _kernel_report(vector=0.02)  # ratio doubled vs baseline
         assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
-        assert "vector/scalar" in capsys.readouterr().out
+        assert "vector/scalar per-loop ratio" in capsys.readouterr().out
+
+    def test_vector_arm_below_noise_floor_is_skipped(self, tmp_path, capsys):
+        # 200 loops x 0.0002 s = 0.04 s: the vector arm's total is under
+        # the floor, so even a doubled ratio is not judged.
+        current = _kernel_report(vector=0.0004)
+        baseline = _kernel_report(vector=0.0002)
+        assert _run(tmp_path, "kernels", current, baseline) == 0
+        assert "noise floor" in capsys.readouterr().out
+
+    def test_loop_count_mismatch_demands_new_baseline(self, tmp_path, capsys):
+        current = _kernel_report()
+        current["kernels"][0]["vector_loops"] = 400
+        assert _run(tmp_path, "kernels", current, _kernel_report()) == 1
+        assert "regenerate the baseline" in capsys.readouterr().out
 
     def test_end_to_end_slowdown_fails(self, tmp_path, capsys):
         current = _kernel_report(kernel_wall=0.9)
